@@ -96,7 +96,12 @@ fn columnar_pass(frames: &[pdmap_transport::Frame]) -> Vec<((Symbol, Symbol), Ke
     let mut cols = SampleColumns::new();
     for frame in frames {
         let batch = SampleBatch::columns_from_frame(frame).expect("frames are valid");
-        cols.extend_batch(0, OFFSET_NS, &batch);
+        let dict: Vec<(Symbol, Symbol)> = batch
+            .dict
+            .iter()
+            .map(|(m, f)| (intern::sym(m), intern::sym(f)))
+            .collect();
+        cols.extend_batch(0, OFFSET_NS, &dict, &batch);
     }
     cols.fold()
 }

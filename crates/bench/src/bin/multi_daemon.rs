@@ -260,8 +260,8 @@ fn main() -> ExitCode {
     }
     let want = n * SAMPLES_PER_DAEMON;
     let deadline = t0 + DEADLINE;
-    while set.samples().len() < want && Instant::now() < deadline {
-        set.pump_parallel();
+    while set.sample_count() < want && Instant::now() < deadline {
+        set.pump();
         std::thread::sleep(Duration::from_millis(1));
     }
 
@@ -577,7 +577,7 @@ fn chaos_main(opts: &Options) -> ExitCode {
     eprintln!("chaos: killed pdmapd at {}", dead.addr);
 
     while set.health(victim) != DaemonHealth::Quarantined && Instant::now() < deadline {
-        set.pump_parallel();
+        set.pump();
         set.supervise();
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -610,7 +610,7 @@ fn chaos_main(opts: &Options) -> ExitCode {
     );
     procs[victim] = Some(replacement);
     while set.health(victim) == DaemonHealth::Quarantined && Instant::now() < deadline {
-        set.pump_parallel();
+        set.pump();
         set.supervise();
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -693,7 +693,7 @@ const FLEET_SAMPLES: usize = 100;
 /// Flat-baseline width: ISSUE demands the ≥5× claim hold "at 16+ daemons".
 const FLAT_BASELINE_N: usize = 16;
 
-/// Drain-side measurements for one session: every `pump_parallel` call
+/// Drain-side measurements for one session: every `pump` call
 /// that processed at least one frame contributes its duration, so the
 /// rates measure the cost of draining, not the time spent waiting for
 /// emission.
@@ -740,10 +740,9 @@ impl Drained {
 /// much tool-side work it takes to decode, skew-correct, and store the
 /// same backlog.
 ///
-/// `pooled` selects the drain strategy: the persistent worker pool (the
-/// subsystem under test) or the per-call scoped spawns it replaced (the
-/// baseline's contemporary).
-fn drive(set: &mut DaemonSet, want: usize, deadline: Instant, pooled: bool) -> Drained {
+/// Both sessions drain through the tool's one pump, the persistent worker
+/// pool, so the ratio isolates what the relay tree changes: batching.
+fn drive(set: &mut DaemonSet, want: usize, deadline: Instant) -> Drained {
     let received = |set: &DaemonSet| -> u64 {
         (0..set.len())
             .map(|i| set.conn(i).transport_stats().frames_received)
@@ -763,16 +762,12 @@ fn drive(set: &mut DaemonSet, want: usize, deadline: Instant, pooled: bool) -> D
     }
     // Rate over what the timed passes drain: clock sync dispatches early
     // samples as a side effect, and those must not pad the numerator.
-    let pre = set.samples().len();
+    let pre = set.sample_count();
     let mut durs: Vec<u64> = Vec::new();
     let mut frames = 0usize;
-    while set.samples().len() < want && Instant::now() < deadline {
+    while set.sample_count() < want && Instant::now() < deadline {
         let t = Instant::now();
-        let got = if pooled {
-            set.pump_parallel()
-        } else {
-            set.pump_parallel_unpooled()
-        };
+        let got = set.pump();
         if got > 0 {
             frames += got;
             durs.push(t.elapsed().as_nanos() as u64);
@@ -787,7 +782,7 @@ fn drive(set: &mut DaemonSet, want: usize, deadline: Instant, pooled: bool) -> D
         durs[(durs.len() - 1).min(durs.len() * 99 / 100)]
     };
     Drained {
-        samples: set.samples().len() - pre,
+        samples: set.sample_count() - pre,
         frames,
         drain_ns: durs.iter().sum::<u64>().max(1),
         p99_ns,
@@ -903,15 +898,15 @@ fn fleet_main(opts: &Options) -> ExitCode {
         kill_all(&mut flat_procs);
         return ExitCode::FAILURE;
     }
+    // Warm the drain pool off the timed path, as the tree session does.
+    set.pump();
     // The daemons finish their budget, flush the Goodbye, and exit on their
     // own; reaping them *before* the timed drain leaves the box quiet, so
     // the measurement is the tool's drain cost, not scheduler crosstalk
     // from dozens of lingering processes.
     reap_ok("baseline", &mut flat_procs, &mut check);
-    // `pooled: false` — the flat baseline drains the way the tool drained
-    // before the relay subsystem existed: unbatched frames, one scoped
-    // thread per connection spawned on every pass.
-    let flat = drive(&mut set, FLAT_BASELINE_N * FLEET_SAMPLES, deadline, false);
+    // The flat baseline sends unbatched frames: one sample per frame.
+    let flat = drive(&mut set, FLAT_BASELINE_N * FLEET_SAMPLES, deadline);
     let flat_cov = set.shutdown_all(DEADLINE);
     conservation_audit(
         "baseline",
@@ -923,7 +918,7 @@ fn fleet_main(opts: &Options) -> ExitCode {
     );
     check(
         "baseline: every sample arrived",
-        set.samples().len() >= FLAT_BASELINE_N * FLEET_SAMPLES,
+        set.sample_count() >= FLAT_BASELINE_N * FLEET_SAMPLES,
     );
     drop(set);
 
@@ -973,26 +968,26 @@ fn fleet_main(opts: &Options) -> ExitCode {
         return ExitCode::FAILURE;
     }
     // Warm the drain pool while production is still in flight: the first
-    // `pump_parallel` of a session spawns the worker threads, and that
+    // `pump` of a session spawns the worker threads, and that
     // one-time setup must not be billed to the first timed drain pass.
-    set.pump_parallel();
+    set.pump();
     // Same quiet-box discipline as the baseline: the leaves drain into the
     // relays and exit, the relays flush the aggregate upward and exit, and
     // only then does the timed drain run against the buffered backlog.
     reap_ok("tree-leaves", &mut leaf_procs, &mut check);
     reap_ok("tree-relays", &mut relay_procs, &mut check);
-    let tree = drive(&mut set, leaves_n * FLEET_SAMPLES, deadline, true);
+    let tree = drive(&mut set, leaves_n * FLEET_SAMPLES, deadline);
     // The subtree reports make the tool's coverage tree-aware: wait until
     // every relay has told us how many leaves it stands for.
     while set.coverage().nodes_total < leaves_n && Instant::now() < deadline {
-        set.pump_parallel();
+        set.pump();
         std::thread::sleep(Duration::from_millis(2));
     }
     let tree_cov = set.shutdown_all(DEADLINE);
     conservation_audit("tree", &set, f, leaves_n, &tree_cov, &mut check);
     check(
         "tree: every leaf sample arrived through the relays",
-        set.samples().len() >= leaves_n * FLEET_SAMPLES,
+        set.sample_count() >= leaves_n * FLEET_SAMPLES,
     );
     check(
         "tree: batching actually batched (frames < samples / 4)",
@@ -1143,7 +1138,7 @@ fn failover_main(opts: &Options) -> ExitCode {
     // Steady state first: every relay reports its full subtree and the
     // merged stream is moving.
     loop {
-        set.pump_parallel();
+        set.pump();
         let cov = set.coverage();
         if cov.nodes_reporting == leaves_n && cov.nodes_total == leaves_n {
             break;
@@ -1175,7 +1170,7 @@ fn failover_main(opts: &Options) -> ExitCode {
     let mut recovery_ms: Option<u128> = None;
     while Instant::now() < deadline {
         set.supervise();
-        set.pump_parallel();
+        set.pump();
         let cov = set.coverage();
         if !set.reparents().is_empty() && cov.nodes_reporting == leaves_n {
             recovery_ms = Some(t_kill.elapsed().as_millis());
@@ -1199,16 +1194,16 @@ fn failover_main(opts: &Options) -> ExitCode {
     );
 
     // The re-homed leaves keep streaming through the new route.
-    let before = set.samples().len();
+    let before = set.sample_count();
     let settle = Instant::now() + Duration::from_secs(2);
     while Instant::now() < settle {
         set.supervise();
-        set.pump_parallel();
+        set.pump();
         std::thread::sleep(Duration::from_millis(2));
     }
     check(
         "the healed fleet kept streaming",
-        set.samples().len() >= before + rehomed,
+        set.sample_count() >= before + rehomed,
     );
 
     // Graceful wind-down: conservation must close *exactly* through the
@@ -1247,7 +1242,7 @@ fn failover_main(opts: &Options) -> ExitCode {
     }
     for i in f..set.len() {
         let vals: Vec<u64> = set
-            .samples()
+            .merged_samples()
             .iter()
             .filter(|s| s.daemon == i)
             .map(|s| s.value as u64)
@@ -1275,7 +1270,7 @@ fn failover_main(opts: &Options) -> ExitCode {
         cov_final.samples_lost,
         cov_final.nodes_reporting,
         cov_final.nodes_total,
-        set.samples().len(),
+        set.sample_count(),
         t0.elapsed().as_millis(),
     );
 
@@ -1357,16 +1352,20 @@ fn health_session(
         kill_all(&mut procs);
         return None;
     }
-    set.pump_parallel(); // warm the drain pool off the timed path
+    set.pump(); // warm the drain pool off the timed path
     reap_ok(label, &mut procs, check);
-    let drained = drive(&mut set, HEALTH_N * HEALTH_SAMPLES, deadline, true);
+    let drained = drive(&mut set, HEALTH_N * HEALTH_SAMPLES, deadline);
     let cov = set.shutdown_all(DEADLINE);
     conservation_audit(label, &set, HEALTH_N, HEALTH_N, &cov, check);
     check(
         &format!("{label}: every application sample arrived"),
-        set.samples()
+        set.merged_samples()
             .iter()
-            .filter(|s| !s.focus.starts_with(paradyn_tool::selfmap::OBS_FOCUS_PREFIX))
+            .filter(|s| {
+                !s.focus
+                    .as_str()
+                    .starts_with(paradyn_tool::selfmap::OBS_FOCUS_PREFIX)
+            })
             .count()
             >= HEALTH_N * HEALTH_SAMPLES,
     );
@@ -1462,11 +1461,11 @@ fn health_main() -> ExitCode {
         overhead_pct < 5.0,
     );
     let telemetry_samples = set
-        .samples()
+        .merged_samples()
         .iter()
-        .filter(|s| s.focus.starts_with(selfmap::OBS_FOCUS_PREFIX))
+        .filter(|s| s.focus.as_str().starts_with(selfmap::OBS_FOCUS_PREFIX))
         .count();
-    let telemetry_share_pct = telemetry_samples as f64 * 100.0 / set.samples().len().max(1) as f64;
+    let telemetry_share_pct = telemetry_samples as f64 * 100.0 / set.sample_count().max(1) as f64;
 
     // ---- The merged fleet trace ----------------------------------------
     // Tool spans are already on the tool clock; each daemon's dump carries

@@ -1,20 +1,19 @@
-//! Columnar (structure-of-arrays) sample storage — the hot ingest
-//! representation of the sample spine.
+//! Columnar (structure-of-arrays) sample storage — the one sample spine.
 //!
 //! A [`SampleColumns`] holds parallel `daemon`/`metric`/`focus`/`wall`/
 //! `aligned`/`value` columns instead of a vector of per-sample structs.
-//! Batches land via [`SampleColumns::extend_batch`]: the frame's small
-//! (metric, focus) dictionary is interned to [`Symbol`]s once, then the
-//! sample columns are bulk-appended with skew correction applied as a
-//! column pass — no per-sample string handling, no per-sample `Arc`
-//! refcount traffic. Downstream stages stay columnar: clock re-alignment
-//! ([`SampleColumns::realign`]), shard merge ([`SampleColumns::append`]),
-//! the merge sort ([`SampleColumns::sort_by_aligned`]), and the per-key
-//! fold with histogram fills and coverage interval widening
+//! Batches land via [`SampleColumns::extend_batch`]: the caller resolves
+//! the frame's small (metric, focus) dictionary to [`Symbol`]s once, then
+//! the sample columns are bulk-appended with skew correction applied as a
+//! column pass — no per-sample string handling. Downstream stages stay
+//! columnar: clock re-alignment ([`SampleColumns::realign_all`]), shard
+//! merge ([`SampleColumns::append`]), the merge sort
+//! ([`SampleColumns::sort_by_aligned`]), and the per-key fold with
+//! histogram fills and coverage interval widening
 //! ([`SampleColumns::fold`]). String names are materialized only at the
 //! render edge, via [`Symbol::as_str`].
 
-use crate::intern::{self, Symbol};
+use crate::intern::Symbol;
 use crate::interval::Interval;
 use crate::util::FxHashMap;
 use pdmap_transport::BatchColumns;
@@ -36,18 +35,6 @@ impl SampleColumns {
     /// Empty columns.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Empty columns with room for `n` samples in every column.
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            daemon: Vec::with_capacity(n),
-            metric: Vec::with_capacity(n),
-            focus: Vec::with_capacity(n),
-            wall: Vec::with_capacity(n),
-            aligned: Vec::with_capacity(n),
-            value: Vec::with_capacity(n),
-        }
     }
 
     /// Number of samples.
@@ -80,15 +67,16 @@ impl SampleColumns {
 
     /// Bulk-appends a decoded wire batch from `daemon`, applying the
     /// daemon's clock offset as it lands (`aligned = wall − offset`,
-    /// clamped at zero — the same correction the struct spine applies per
-    /// sample). The batch dictionary is interned once; each sample then
-    /// costs four integer column pushes and one float push.
-    pub fn extend_batch(&mut self, daemon: u32, offset_ns: i64, batch: &BatchColumns) {
-        let dict: Vec<(Symbol, Symbol)> = batch
-            .dict
-            .iter()
-            .map(|(m, f)| (intern::sym(m), intern::sym(f)))
-            .collect();
+    /// clamped at zero). `dict[k]` is the resolved symbol pair of
+    /// `batch.dict[k]`; each sample then costs four integer column pushes
+    /// and one float push.
+    pub fn extend_batch(
+        &mut self,
+        daemon: u32,
+        offset_ns: i64,
+        dict: &[(Symbol, Symbol)],
+        batch: &BatchColumns,
+    ) {
         let n = batch.len();
         self.daemon.resize(self.daemon.len() + n, daemon);
         self.metric.reserve(n);
@@ -101,17 +89,6 @@ impl SampleColumns {
             let (m, f) = dict[k as usize];
             self.metric.push(m);
             self.focus.push(f);
-        }
-    }
-
-    /// Re-applies skew correction for every sample of `daemon` — the
-    /// column-pass twin of the struct spine's post-`clock_sync` rewrite.
-    /// Samples from other daemons are untouched.
-    pub fn realign(&mut self, daemon: u32, offset_ns: i64) {
-        for i in 0..self.len() {
-            if self.daemon[i] == daemon {
-                self.aligned[i] = align(self.wall[i], offset_ns);
-            }
         }
     }
 
@@ -136,8 +113,7 @@ impl SampleColumns {
 
     /// Stable sort of all columns by aligned (tool-clock) time: compute
     /// the permutation once on the `aligned` column, then apply it to each
-    /// column — same-instant samples keep arrival order, matching the
-    /// struct spine's `merged_samples` contract.
+    /// column — same-instant samples keep arrival order.
     pub fn sort_by_aligned(&mut self) {
         let mut perm: Vec<u32> = (0..self.len() as u32).collect();
         perm.sort_by_key(|&i| self.aligned[i as usize]);
@@ -282,6 +258,7 @@ impl KeyFold {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intern;
 
     fn batch() -> BatchColumns {
         BatchColumns {
@@ -298,10 +275,20 @@ mod tests {
         }
     }
 
+    fn land(cols: &mut SampleColumns, daemon: u32, offset_ns: i64) {
+        let b = batch();
+        let dict: Vec<_> = b
+            .dict
+            .iter()
+            .map(|(m, f)| (intern::sym(m), intern::sym(f)))
+            .collect();
+        cols.extend_batch(daemon, offset_ns, &dict, &b);
+    }
+
     #[test]
-    fn extend_batch_interns_once_and_aligns_on_landing() {
+    fn extend_batch_maps_the_dictionary_and_aligns_on_landing() {
         let mut cols = SampleColumns::new();
-        cols.extend_batch(7, 100, &batch());
+        land(&mut cols, 7, 100);
         assert_eq!(cols.len(), 4);
         assert_eq!(cols.daemons(), &[7, 7, 7, 7]);
         assert_eq!(cols.aligneds(), &[900, 1_000, 1_100, 1_200]);
@@ -311,20 +298,22 @@ mod tests {
         // Repeated keys share one symbol pair.
         assert_eq!(cols.metrics()[0], cols.metrics()[2]);
         assert_eq!(cols.foci()[0], cols.foci()[2]);
-        // Negative corrected times clamp at zero, like the struct spine.
+        // Negative corrected times clamp at zero.
         let mut late = SampleColumns::new();
-        late.extend_batch(0, 2_000, &batch());
+        land(&mut late, 0, 2_000);
         assert_eq!(late.aligneds()[0], 0);
     }
 
     #[test]
-    fn realign_touches_only_the_given_daemon() {
+    fn realign_all_rewrites_each_daemon_with_its_own_offset() {
         let mut cols = SampleColumns::new();
-        cols.extend_batch(0, 0, &batch());
-        cols.extend_batch(1, 0, &batch());
-        cols.realign(1, 500);
-        assert_eq!(cols.aligneds()[0], 1_000, "daemon 0 untouched");
+        land(&mut cols, 0, 0);
+        land(&mut cols, 1, 0);
+        land(&mut cols, 5, 0);
+        cols.realign_all(&[0, 500]);
+        assert_eq!(cols.aligneds()[0], 1_000, "daemon 0 keeps offset 0");
         assert_eq!(cols.aligneds()[4], 500, "daemon 1 re-corrected");
+        assert_eq!(cols.aligneds()[8], 1_000, "daemon past the table: offset 0");
     }
 
     #[test]
@@ -350,7 +339,7 @@ mod tests {
     #[test]
     fn fold_fills_histograms_and_widens_intervals() {
         let mut cols = SampleColumns::new();
-        cols.extend_batch(0, 0, &batch());
+        land(&mut cols, 0, 0);
         let folds = cols.fold();
         assert_eq!(folds.len(), 2, "two distinct keys, first-seen order");
         let (key, f) = &folds[0];

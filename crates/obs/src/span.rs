@@ -313,6 +313,11 @@ mod tests {
                 }
             })
         };
+        // Start reading once the writer's first record is visible, so the
+        // snapshots overlap its writes instead of racing its spawn.
+        while ring.written() == 0 {
+            std::hint::spin_loop();
+        }
         let mut checked = 0u64;
         for _ in 0..200 {
             let mut out = Vec::new();

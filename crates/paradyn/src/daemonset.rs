@@ -71,14 +71,16 @@ use crate::selfmap;
 use crate::stream::Stream;
 use cmrts_sim::machine::ArrayAllocInfo;
 use cmrts_sim::ArrayId;
-use pdmap::intern::Symbol;
+use pdmap::columns::SampleColumns;
+use pdmap::intern::{self, Symbol};
 use pdmap::interval::Interval;
 use pdmap::model::Namespace;
+use pdmap::util::FxHashMap;
 use pdmap_transport::{
     send_wire, Frame, FrameKind, PifBlob, SampleBatch, TcpClient, TopoChild, TopologyMsg,
     Transport, TransportConfig, WirePayload,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::net::SocketAddr;
 use std::ops::Deref;
@@ -115,25 +117,37 @@ pub struct ClockEstimate {
     pub rounds: u32,
 }
 
-/// A metric sample stamped onto the tool clock.
-///
-/// Names are shared `Arc<str>`s: a batched frame's dictionary is decoded
-/// once and every sample in it references the same allocations, so the
-/// root's per-sample drain cost is pointer copies, not string clones.
-#[derive(Clone, Debug, PartialEq)]
+/// A metric sample stamped onto the tool clock: one row of the shard
+/// columns, as [`DaemonSet::merged_samples`] hands it out. Names are
+/// interned [`Symbol`]s, so a row is a plain copy; `.as_str()` renders.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AlignedSample {
     /// Index of the daemon connection that delivered it.
     pub daemon: usize,
     /// Metric display name.
-    pub metric: Arc<str>,
+    pub metric: Symbol,
     /// Focus, rendered.
-    pub focus: Arc<str>,
+    pub focus: Symbol,
     /// The daemon's original wall stamp (its own clock).
     pub wall: u64,
     /// The stamp mapped onto the tool clock (`wall − offset`).
     pub aligned_ns: u64,
     /// Sampled value.
     pub value: f64,
+}
+
+impl AlignedSample {
+    /// Row `i` of `cols`.
+    fn row(cols: &SampleColumns, i: usize) -> Self {
+        Self {
+            daemon: cols.daemons()[i] as usize,
+            metric: cols.metrics()[i],
+            focus: cols.foci()[i],
+            wall: cols.walls()[i],
+            aligned_ns: cols.aligneds()[i],
+            value: cols.values()[i],
+        }
+    }
 }
 
 /// Clock synchronisation failed for one daemon (no reply within the
@@ -416,25 +430,27 @@ pub struct NodeHealth {
     pub daemon: usize,
     /// The node's focus label, e.g. `Tool/daemon:127.0.0.1:7001`.
     pub label: String,
+    /// `label`, interned: what the fold matches incoming rows on.
+    focus: Symbol,
     /// Tool-side arrival time of the freshest telemetry sample.
     pub last_seen: Instant,
     /// Latest aligned (tool-clock) stamp on this node's telemetry.
     pub last_aligned_ns: u64,
     /// Telemetry samples received from this node so far.
     pub samples: u64,
-    /// Latest value per telemetry metric name.
-    metrics: HashMap<Arc<str>, f64>,
+    /// Latest value per telemetry metric.
+    metrics: HashMap<Symbol, f64>,
 }
 
 impl NodeHealth {
     /// The latest value of one telemetry metric, if the node reported it.
     pub fn metric(&self, name: &str) -> Option<f64> {
-        self.metrics.get(name).copied()
+        self.metrics.get(&intern::lookup(name)?).copied()
     }
 
     /// All metric names this node has reported (unordered).
     pub fn metric_names(&self) -> impl Iterator<Item = &str> {
-        self.metrics.keys().map(|k| &**k)
+        self.metrics.keys().map(|k| k.as_str())
     }
 
     /// Rebuilds `(component, verb, count, total_ns)` span-site totals from
@@ -444,7 +460,7 @@ impl NodeHealth {
     pub fn site_totals(&self) -> Vec<selfmap::SiteTotal> {
         let mut by_site: HashMap<(String, String), (u64, u64)> = HashMap::new();
         for (name, &v) in &self.metrics {
-            let Some((component, verb, is_time)) = selfmap::parse_obs_metric(name) else {
+            let Some((component, verb, is_time)) = selfmap::parse_obs_metric(name.as_str()) else {
                 continue;
             };
             let entry = by_site
@@ -521,29 +537,69 @@ impl FleetHealth {
         any
     }
 
-    /// Folds one telemetry sample into the node it describes.
-    fn observe(&mut self, s: &AlignedSample) {
-        match self.nodes.iter_mut().find(|n| *n.label == *s.focus) {
+    /// Folds one telemetry row into the node it describes.
+    fn observe(&mut self, s: AlignedSample, now: Instant) {
+        match self.nodes.iter_mut().find(|n| n.focus == s.focus) {
             Some(n) => {
                 n.daemon = s.daemon;
-                n.last_seen = Instant::now();
+                n.last_seen = now;
                 n.last_aligned_ns = n.last_aligned_ns.max(s.aligned_ns);
                 n.samples += 1;
-                n.metrics.insert(s.metric.clone(), s.value);
+                n.metrics.insert(s.metric, s.value);
             }
-            None => {
-                let mut metrics = HashMap::new();
-                metrics.insert(s.metric.clone(), s.value);
-                self.nodes.push(NodeHealth {
-                    daemon: s.daemon,
-                    label: s.focus.to_string(),
-                    last_seen: Instant::now(),
-                    last_aligned_ns: s.aligned_ns,
-                    samples: 1,
-                    metrics,
-                });
-            }
+            None => self.nodes.push(NodeHealth {
+                daemon: s.daemon,
+                label: s.focus.as_str().to_string(),
+                focus: s.focus,
+                last_seen: now,
+                last_aligned_ns: s.aligned_ns,
+                samples: 1,
+                metrics: HashMap::from([(s.metric, s.value)]),
+            }),
         }
+    }
+}
+
+/// Which interned names mark a telemetry row — an `Obs *` metric under a
+/// [`selfmap::OBS_FOCUS_PREFIX`] focus. Each symbol's name is tested once
+/// and the verdict memoised by symbol index, so the per-row test is two
+/// table reads, never a string compare.
+#[derive(Debug, Default)]
+struct TelemetryNames {
+    /// Per symbol index: bit 0 tested, bit 1 `Obs ` metric, bit 2
+    /// telemetry focus.
+    flags: Vec<u8>,
+}
+
+impl TelemetryNames {
+    const TESTED: u8 = 1;
+    const METRIC: u8 = 2;
+    const FOCUS: u8 = 4;
+
+    fn flags(&mut self, sym: Symbol) -> u8 {
+        let i = sym.index();
+        if i >= self.flags.len() {
+            self.flags.resize(i + 1, 0);
+        }
+        if self.flags[i] == 0 {
+            let name = sym.as_str();
+            self.flags[i] = Self::TESTED
+                | if name.starts_with("Obs ") {
+                    Self::METRIC
+                } else {
+                    0
+                }
+                | if name.starts_with(selfmap::OBS_FOCUS_PREFIX) {
+                    Self::FOCUS
+                } else {
+                    0
+                };
+        }
+        self.flags[i]
+    }
+
+    fn is_telemetry(&mut self, metric: Symbol, focus: Symbol) -> bool {
+        self.flags(metric) & Self::METRIC != 0 && self.flags(focus) & Self::FOCUS != 0
     }
 }
 
@@ -615,12 +671,11 @@ pub struct DaemonConn {
     retry_attempt: u32,
     next_retry: Option<Instant>,
     reconnect: Option<ReconnectFn>,
-    /// Shared `Arc<str>` names for the *unbatched* sample path: a daemon
-    /// that sends loose [`DaemonMsg::Sample`]s repeats the same handful of
-    /// metric/focus strings per sample, so they are interned here and every
-    /// [`AlignedSample`] shares the allocation — the same economy the
-    /// batched path gets from its frame dictionary.
-    interned: HashSet<Arc<str>>,
+    /// Name → [`Symbol`] cache for this link's loose sample names and
+    /// batch dictionaries: a daemon repeats the same handful of
+    /// metric/focus strings, so each resolves through the global intern
+    /// table once per link, not once per sample or per batch.
+    names: FxHashMap<String, Symbol>,
     /// The latest [`DaemonMsg::SubtreeCoverage`] this peer reported —
     /// present when the peer is a relay aggregating a subtree, absent for
     /// a leaf daemon (which counts as a 1/1 subtree).
@@ -745,28 +800,25 @@ impl DaemonConn {
         (wall as i64 - self.clock.offset_ns).max(0) as u64
     }
 
-    /// The shared `Arc<str>` for `s`, allocated on first sight only — so
-    /// an unbatched sample costs one allocation per *distinct* name, not
-    /// one per sample.
-    fn intern(&mut self, s: String) -> Arc<str> {
-        match self.interned.get(s.as_str()) {
-            Some(shared) => shared.clone(),
-            None => {
-                let shared: Arc<str> = s.into();
-                self.interned.insert(shared.clone());
-                shared
-            }
+    /// The symbol for `name`, through the link's cache: the global intern
+    /// table is consulted only on a name's first sight on this link.
+    fn symbol(&mut self, name: String) -> Symbol {
+        if let Some(&sym) = self.names.get(name.as_str()) {
+            return sym;
         }
+        let sym = intern::sym(&name);
+        self.names.insert(name, sym);
+        sym
     }
 
-    /// Drains every frame currently queued on this link into `out`,
-    /// forwarding mapping information to `data`'s shard. If `want_token`
-    /// is set, a matching clock reply is returned (and not dispatched).
-    /// Returns `(frames_processed, matched_reply_t_daemon)`.
+    /// Drains every frame currently queued on this link: samples land in
+    /// `data`'s shard columns, mapping information goes to the shard's
+    /// store. If `want_token` is set, a matching clock reply is returned
+    /// (and not dispatched). Returns `(frames_processed,
+    /// matched_reply_t_daemon)`.
     fn drain(
         &mut self,
         data: &DataManager,
-        out: &mut Vec<AlignedSample>,
         index: usize,
         want_token: Option<u64>,
     ) -> (usize, Option<u64>) {
@@ -776,7 +828,7 @@ impl DaemonConn {
                 Ok(Some(frame)) => {
                     n += 1;
                     self.last_frame = Instant::now();
-                    if let Some(t_d) = self.dispatch(frame, data, out, index, want_token) {
+                    if let Some(t_d) = self.dispatch(frame, data, index, want_token) {
                         return (n, Some(t_d));
                     }
                 }
@@ -795,79 +847,10 @@ impl DaemonConn {
         }
     }
 
-    /// Drains this link like [`DaemonConn::drain`], but batched samples
-    /// decode straight to columns and land in the data manager's shard
-    /// buffer — no per-sample structs, no `Arc` refcount traffic. Every
-    /// other frame kind (control frames, loose samples, PIF blobs) takes
-    /// the usual [`DaemonConn::dispatch`] path; those are cold.
-    fn drain_columns(
-        &mut self,
-        data: &DataManager,
-        out: &mut Vec<AlignedSample>,
-        index: usize,
-    ) -> usize {
-        let mut n = 0;
-        loop {
-            match self.tx.try_recv() {
-                Ok(Some(frame)) => {
-                    n += 1;
-                    self.last_frame = Instant::now();
-                    if frame.kind == FrameKind::SampleBatch {
-                        self.fold_batch_columns(&frame, data, index);
-                    } else {
-                        self.dispatch(frame, data, out, index, None);
-                    }
-                }
-                Ok(None) => return n,
-                Err(e) => {
-                    let err = crate::daemon::track_error(DaemonError::Recv(e.to_string()));
-                    if self.decode_errors.last() != Some(&err) {
-                        self.decode_errors.push(err);
-                    }
-                    return n;
-                }
-            }
-        }
-    }
-
-    /// The columnar twin of the `SampleBatch` arm of
-    /// [`DaemonConn::dispatch`]: identical sequence-watermark dedup,
-    /// provenance folding, and conservation accounting — only the sample
-    /// payload takes the columnar route into the shard buffer.
-    fn fold_batch_columns(&mut self, frame: &Frame, data: &DataManager, index: usize) {
-        match SampleBatch::columns_from_frame(frame) {
-            Ok(cols) => {
-                if cols.seq != 0 && cols.seq <= self.last_seq {
-                    self.replays_suppressed += 1;
-                    return;
-                }
-                if cols.seq != 0 {
-                    self.last_seq = cols.seq;
-                }
-                for m in &cols.sources {
-                    let e = self.source_marks.entry(m.origin.clone()).or_insert((0, 0));
-                    if m.through_seq >= e.0 {
-                        *e = (m.through_seq, m.samples);
-                    }
-                }
-                let n = cols.len() as u64;
-                self.samples_received += n;
-                self.life_received += n;
-                // `append_columns_on` moves the shard's sample counters
-                // itself — the columnar `note_samples_on`.
-                data.append_columns_on(self.shard, index as u32, self.clock.offset_ns, &cols);
-            }
-            Err(e) => self
-                .decode_errors
-                .push(crate::daemon::track_error(DaemonError::Codec(e.0))),
-        }
-    }
-
     fn dispatch(
         &mut self,
         frame: Frame,
         data: &DataManager,
-        out: &mut Vec<AlignedSample>,
         index: usize,
         want_token: Option<u64>,
     ) -> Option<u64> {
@@ -900,14 +883,10 @@ impl DaemonConn {
                 }) => {
                     self.samples_received += 1;
                     self.life_received += 1;
-                    data.note_samples_on(self.shard, 1);
-                    out.push(AlignedSample {
-                        daemon: index,
-                        metric: self.intern(metric),
-                        focus: self.intern(focus),
-                        wall,
-                        aligned_ns: self.align(wall),
-                        value,
+                    let (metric, focus) = (self.symbol(metric), self.symbol(focus));
+                    let aligned = self.align(wall);
+                    data.land_on(self.shard, |c| {
+                        c.push(index as u32, metric, focus, wall, aligned, value)
                     });
                 }
                 Ok(DaemonMsg::ClockReply {
@@ -942,8 +921,8 @@ impl DaemonConn {
                     .decode_errors
                     .push(crate::daemon::track_error(DaemonError::Codec(e.0))),
             },
-            FrameKind::SampleBatch => match SampleBatch::from_frame(&frame) {
-                Ok(batch) => {
+            FrameKind::SampleBatch => match SampleBatch::columns_from_frame(&frame) {
+                Ok(mut batch) => {
                     // Sequence-watermark dedup: a handover replays the
                     // sender's ring suffix, and anything we already folded
                     // in arrives again with a seq at or below our
@@ -966,19 +945,17 @@ impl DaemonConn {
                             *e = (m.through_seq, m.samples);
                         }
                     }
-                    let n = batch.samples.len() as u64;
+                    let n = batch.len() as u64;
                     self.samples_received += n;
                     self.life_received += n;
-                    data.note_samples_on(self.shard, n);
+                    let dict: Vec<(Symbol, Symbol)> = std::mem::take(&mut batch.dict)
+                        .into_iter()
+                        .map(|(m, f)| (self.symbol(m), self.symbol(f)))
+                        .collect();
                     let offset = self.clock.offset_ns;
-                    out.extend(batch.samples.into_iter().map(|s| AlignedSample {
-                        daemon: index,
-                        aligned_ns: (s.wall as i64 - offset).max(0) as u64,
-                        metric: s.metric,
-                        focus: s.focus,
-                        wall: s.wall,
-                        value: s.value,
-                    }));
+                    data.land_on(self.shard, |c| {
+                        c.extend_batch(index as u32, offset, &dict, &batch)
+                    });
                 }
                 Err(e) => self
                     .decode_errors
@@ -1075,7 +1052,6 @@ struct PoolEpoch {
     /// Workers that have not finished the current epoch.
     active: usize,
     frames: usize,
-    samples: Vec<AlignedSample>,
     data: Option<Arc<DataManager>>,
 }
 
@@ -1085,11 +1061,12 @@ struct PoolShared {
     done_cv: Condvar,
 }
 
-/// A persistent bounded worker pool draining daemon connections — the
-/// fleet-scale replacement for thread-per-connection scoped spawns. Built
-/// lazily at the first [`DaemonSet::pump_parallel`] with
+/// A persistent bounded worker pool draining daemon connections. Built
+/// lazily at the first [`DaemonSet::pump`] with
 /// `min(connections, available_parallelism)` workers, which then live for
 /// the session: each drain pass is a condvar wakeup, not N thread spawns.
+/// A worker draining a connection appends to that connection's shard
+/// buffer only, so workers on different shards never share a lock.
 struct DrainPool {
     shared: Arc<PoolShared>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -1106,7 +1083,6 @@ impl DrainPool {
                     cursor: 0,
                     active: 0,
                     frames: 0,
-                    samples: Vec::new(),
                     data: None,
                 },
             )),
@@ -1147,7 +1123,6 @@ impl DrainPool {
             seen_epoch = st.0;
             let data = st.2.data.clone();
             let mut local_frames = 0usize;
-            let mut local_samples: Vec<AlignedSample> = Vec::new();
             loop {
                 let job = if st.2.cursor < st.2.jobs.len() {
                     let j = st.2.jobs[st.2.cursor].clone();
@@ -1161,7 +1136,7 @@ impl DrainPool {
                         drop(st); // drain off-lock so workers overlap
                         if let Some(data) = data.as_deref() {
                             let mut conn = lock(&cell);
-                            local_frames += conn.drain(data, &mut local_samples, index, None).0;
+                            local_frames += conn.drain(data, index, None).0;
                         }
                         st = lock(&shared.state);
                     }
@@ -1169,7 +1144,6 @@ impl DrainPool {
                 }
             }
             st.2.frames += local_frames;
-            st.2.samples.append(&mut local_samples);
             st.2.active -= 1;
             if st.2.active == 0 {
                 shared.done_cv.notify_all();
@@ -1178,18 +1152,13 @@ impl DrainPool {
     }
 
     /// Dispatches one drain pass over `jobs` and blocks until every job has
-    /// been drained. Returns `(frames, samples)` merged across workers.
-    fn run(
-        &self,
-        jobs: Vec<(usize, Arc<Mutex<DaemonConn>>)>,
-        data: Arc<DataManager>,
-    ) -> (usize, Vec<AlignedSample>) {
+    /// been drained. Returns the frames processed across workers.
+    fn run(&self, jobs: Vec<(usize, Arc<Mutex<DaemonConn>>)>, data: Arc<DataManager>) -> usize {
         set_obs().pool_drains.incr();
         let mut st = lock(&self.shared.state);
         st.2.jobs = jobs;
         st.2.cursor = 0;
         st.2.frames = 0;
-        st.2.samples.clear();
         st.2.data = Some(data);
         st.2.active = self.workers.len();
         st.0 += 1;
@@ -1205,7 +1174,7 @@ impl DrainPool {
         }
         st.2.jobs.clear();
         st.2.data = None;
-        (st.2.frames, std::mem::take(&mut st.2.samples))
+        st.2.frames
     }
 
     fn size(&self) -> usize {
@@ -1233,7 +1202,6 @@ impl Drop for DrainPool {
 fn sync_conn(
     conn: &mut DaemonConn,
     data: &DataManager,
-    out: &mut Vec<AlignedSample>,
     index: usize,
     rounds: u32,
     timeout: Duration,
@@ -1257,7 +1225,7 @@ fn sync_conn(
         let deadline = Instant::now() + timeout;
         let mut reply = None;
         while reply.is_none() && Instant::now() < deadline {
-            let (n, r) = conn.drain(data, out, index, Some(token));
+            let (n, r) = conn.drain(data, index, Some(token));
             reply = r;
             if reply.is_none() && n == 0 {
                 std::thread::yield_now();
@@ -1308,7 +1276,6 @@ fn send_seed(conn: &DaemonConn, epoch: u64, watermark: u64, received: u64) -> bo
 pub struct DaemonSet {
     data: Arc<DataManager>,
     conns: Vec<Arc<Mutex<DaemonConn>>>,
-    samples: Vec<AlignedSample>,
     policy: SupervisorPolicy,
     recoveries: Vec<RecoveryReport>,
     reparents: Vec<ReparentReport>,
@@ -1319,13 +1286,14 @@ pub struct DaemonSet {
     dialer: Option<DialFn>,
     /// Monotonic set-wide topology epoch, bumped per adoption.
     epoch: u64,
-    /// Built lazily at the first [`DaemonSet::pump_parallel`].
+    /// Built lazily at the first [`DaemonSet::pump`].
     pool: Option<DrainPool>,
     /// Per-node health assembled from streamed `Obs *` telemetry.
     health_view: FleetHealth,
-    /// Index into `samples` up to which telemetry has been folded into
+    /// Per shard: the row up to which telemetry has been folded into
     /// `health_view`, so each pump scans only the new arrivals.
-    health_cursor: usize,
+    health_cursors: Vec<usize>,
+    telemetry: TelemetryNames,
 }
 
 /// A borrowed view of one connection — a lock guard that derefs to
@@ -1404,7 +1372,7 @@ impl DaemonSet {
                     retry_attempt: 0,
                     next_retry: None,
                     reconnect: None,
-                    interned: HashSet::new(),
+                    names: FxHashMap::default(),
                     subtree: None,
                     last_seq: 0,
                     replays_suppressed: 0,
@@ -1417,9 +1385,9 @@ impl DaemonSet {
             })
             .collect();
         Self {
+            health_cursors: vec![0; shards],
             data,
             conns,
-            samples: Vec::new(),
             policy: SupervisorPolicy::default(),
             recoveries: Vec::new(),
             reparents: Vec::new(),
@@ -1427,7 +1395,7 @@ impl DaemonSet {
             epoch: 0,
             pool: None,
             health_view: FleetHealth::default(),
-            health_cursor: 0,
+            telemetry: TelemetryNames::default(),
         }
     }
 
@@ -1452,7 +1420,7 @@ impl DaemonSet {
     }
 
     /// The drain-pool size, once the pool exists (after the first
-    /// [`DaemonSet::pump_parallel`]).
+    /// [`DaemonSet::pump`]).
     pub fn pool_size(&self) -> Option<usize> {
         self.pool.as_ref().map(|p| p.size())
     }
@@ -1565,7 +1533,7 @@ impl DaemonSet {
             if conn.health == DaemonHealth::Quarantined {
                 continue;
             }
-            match sync_conn(&mut conn, &data, &mut self.samples, i, rounds, timeout) {
+            match sync_conn(&mut conn, &data, i, rounds, timeout) {
                 Some(est) => conn.clock = est,
                 None => {
                     conn.health = DaemonHealth::Quarantined;
@@ -1581,13 +1549,9 @@ impl DaemonSet {
                 }
             }
         }
-        // Re-align anything that arrived before (or during) the handshake —
-        // the struct spine in place, the columnar shard buffers as a
-        // column pass per daemon.
+        // Re-align anything that arrived before (or during) the handshake:
+        // one column pass over every shard buffer.
         let offsets: Vec<i64> = self.conns.iter().map(|c| lock(c).clock.offset_ns).collect();
-        for s in &mut self.samples {
-            s.aligned_ns = (s.wall as i64 - offsets[s.daemon]).max(0) as u64;
-        }
         self.data.realign_columns_all(&offsets);
         match first_err {
             Some(e) => Err(e),
@@ -1677,7 +1641,6 @@ impl DaemonSet {
                     match sync_conn(
                         &mut conn,
                         &data,
-                        &mut self.samples,
                         i,
                         policy.retry_sync_rounds,
                         policy.retry_sync_timeout,
@@ -1800,7 +1763,7 @@ impl DaemonSet {
                     retry_attempt: 0,
                     next_retry: None,
                     reconnect: Some(Box::new(move || d(sock))),
-                    interned: HashSet::new(),
+                    names: FxHashMap::default(),
                     subtree: None,
                     last_seq: w,
                     replays_suppressed: 0,
@@ -1814,7 +1777,6 @@ impl DaemonSet {
                 match sync_conn(
                     &mut conn,
                     &data,
-                    &mut self.samples,
                     idx,
                     policy.retry_sync_rounds,
                     policy.retry_sync_timeout,
@@ -1885,31 +1847,15 @@ impl DaemonSet {
         self.coverage()
     }
 
-    /// Drains every admitted (non-quarantined) link once, sequentially.
-    /// Returns frames processed.
-    pub fn pump(&mut self) -> usize {
-        let data = self.data.clone();
-        let mut n = 0;
-        for (i, cell) in self.conns.iter().enumerate() {
-            let mut conn = lock(cell);
-            if conn.health == DaemonHealth::Quarantined {
-                continue;
-            }
-            n += conn.drain(&data, &mut self.samples, i, None).0;
-        }
-        self.update_fleet_health();
-        n
-    }
-
-    /// Drains every admitted link concurrently through the persistent
-    /// drain pool — `min(connections, available_parallelism)` long-lived
-    /// workers claim connections off a shared cursor, each feeding its own
-    /// data-manager shard (the contention the sharded manager exists to
-    /// absorb). The pool is built at the first call and reused for the
+    /// Drains every admitted link once, concurrently, through the
+    /// persistent drain pool — `min(connections, available_parallelism)`
+    /// long-lived workers claim connections off a shared cursor, each
+    /// landing its connection's samples in that connection's data-manager
+    /// shard. The pool is built at the first call and reused for the
     /// session: a drain pass costs a condvar wakeup, not one thread spawn
     /// per connection. Quarantined connections are never dispatched.
     /// Returns frames processed.
-    pub fn pump_parallel(&mut self) -> usize {
+    pub fn pump(&mut self) -> usize {
         let jobs: Vec<(usize, Arc<Mutex<DaemonConn>>)> = self
             .conns
             .iter()
@@ -1924,60 +1870,22 @@ impl DaemonSet {
             let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
             DrainPool::new(self.conns.len().min(cores))
         });
-        let (frames, samples) = pool.run(jobs, self.data.clone());
-        self.samples.extend(samples);
+        let frames = pool.run(jobs, self.data.clone());
         self.update_fleet_health();
         frames
     }
 
-    /// The drain strategy the persistent pool replaced — one scoped thread
-    /// per admitted connection, spawned fresh on every call — kept as the
-    /// measured reference: the fleet drill's flat baseline drains through
-    /// this path, so its headline ratio compares the relay/batch/pool
-    /// subsystem against the architecture it superseded rather than
-    /// against a strawman. Not for production call sites; use
-    /// [`DaemonSet::pump_parallel`].
-    pub fn pump_parallel_unpooled(&mut self) -> usize {
-        let data = self.data.clone();
-        let mut total = 0;
-        let mut merged: Vec<AlignedSample> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .conns
-                .iter()
-                .enumerate()
-                .filter(|(_, cell)| lock(cell).health != DaemonHealth::Quarantined)
-                .map(|(i, cell)| {
-                    let data = &data;
-                    s.spawn(move || {
-                        let mut local = Vec::new();
-                        let n = lock(cell).drain(data, &mut local, i, None).0;
-                        (n, local)
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (n, local) = h.join().expect("pump thread panicked");
-                total += n;
-                merged.extend(local);
-            }
-        });
-        self.samples.extend(merged);
-        self.update_fleet_health();
-        total
-    }
-
-    /// Pumps all links until at least `want` samples have been received in
-    /// total (across the session's lifetime) or `timeout` elapses. Drains
-    /// through the pooled parallel path, so a large fleet never serializes
-    /// on one thread. Returns the session's sample total.
+    /// Pumps all links until at least `want` samples have landed in total
+    /// (across the session's lifetime) or `timeout` elapses. Returns the
+    /// session's sample total.
     pub fn pump_until_samples(&mut self, want: usize, timeout: Duration) -> usize {
         let deadline = Instant::now() + timeout;
         let mut spins = 0u32;
         loop {
-            let got = self.pump_parallel();
-            if self.samples.len() >= want || Instant::now() >= deadline {
-                return self.samples.len();
+            let got = self.pump();
+            let total = self.sample_count();
+            if total >= want || Instant::now() >= deadline {
+                return total;
             }
             if got > 0 {
                 spins = 0;
@@ -1990,15 +1898,22 @@ impl DaemonSet {
         }
     }
 
-    /// All samples received so far, in arrival order.
-    pub fn samples(&self) -> &[AlignedSample] {
-        &self.samples
+    /// Samples landed so far, across every shard.
+    pub fn sample_count(&self) -> usize {
+        (0..self.data.shard_count())
+            .map(|k| self.data.shard_stats(k).samples as usize)
+            .sum()
     }
 
     /// The largest per-sample value received so far — the per-sample cost
     /// bound [`Coverage::bound_mass`] prices lost samples at.
     pub fn max_sample_value(&self) -> f64 {
-        self.samples.iter().map(|s| s.value).fold(0.0, f64::max)
+        (0..self.data.shard_count())
+            .map(|k| {
+                self.data
+                    .read_shard(k, |c| c.values().iter().copied().fold(0.0, f64::max))
+            })
+            .fold(0.0, f64::max)
     }
 
     /// The session label to stamp on a coverage-aware tool
@@ -2017,17 +1932,31 @@ impl DaemonSet {
         &self.health_view
     }
 
-    /// Folds telemetry samples that arrived since the last call into the
-    /// fleet-health view. A telemetry sample is any sample whose focus
-    /// carries the [`selfmap::OBS_FOCUS_PREFIX`] and whose metric is an
-    /// `Obs *` row; everything else is application data and is skipped.
+    /// Folds telemetry rows that landed since the last call into the
+    /// fleet-health view, shard by shard from each shard's cursor. A
+    /// telemetry row is an `Obs *` metric under a
+    /// [`selfmap::OBS_FOCUS_PREFIX`] focus; everything else is application
+    /// data and is skipped.
     fn update_fleet_health(&mut self) {
-        for s in &self.samples[self.health_cursor..] {
-            if s.focus.starts_with(selfmap::OBS_FOCUS_PREFIX) && s.metric.starts_with("Obs ") {
-                self.health_view.observe(s);
-            }
+        let now = Instant::now();
+        let Self {
+            data,
+            health_view,
+            health_cursors,
+            telemetry,
+            ..
+        } = self;
+        for (k, cursor) in health_cursors.iter_mut().enumerate() {
+            *cursor = data.read_shard(k, |c| {
+                for i in *cursor..c.len() {
+                    let (metric, focus) = (c.metrics()[i], c.foci()[i]);
+                    if telemetry.is_telemetry(metric, focus) {
+                        health_view.observe(AlignedSample::row(c, i), now);
+                    }
+                }
+                c.len()
+            });
         }
-        self.health_cursor = self.samples.len();
     }
 
     /// Asks a span-site question about a *remote* node — "how much time
@@ -2064,72 +1993,29 @@ impl DaemonSet {
     }
 
     /// The merged sample stream, sorted by aligned (tool-clock) time —
-    /// the single stream the paper's front end consumes. Stable, so
-    /// same-instant samples keep arrival order. The result carries the
-    /// session's [`Coverage`], so a merge computed over a degraded fleet
-    /// is labeled as such instead of silently reading low.
+    /// the single stream the paper's front end consumes: a row view over
+    /// [`DataManager::merged_sample_columns`]. Same-instant samples break
+    /// ties shard first, then by arrival. The result carries the session's
+    /// [`Coverage`], so a merge computed over a degraded fleet is labeled
+    /// as such instead of silently reading low.
     pub fn merged_samples(&self) -> Merged {
-        let mut out = self.samples.clone();
-        out.sort_by_key(|s| s.aligned_ns);
+        let cols = self.data.merged_sample_columns();
+        let samples = (0..cols.len())
+            .map(|i| AlignedSample::row(&cols, i))
+            .collect();
         Merged {
-            samples: out,
+            samples,
             coverage: self.coverage(),
         }
     }
 
     /// Groups the merged stream into one [`Stream`] per (metric, focus)
-    /// pair, with sample times on the tool clock. Units are unknown at
-    /// this layer (the wire protocol does not carry them). Carries the
-    /// same [`Coverage`] label as [`DaemonSet::merged_samples`].
+    /// pair in first-seen order, with sample times on the tool clock.
+    /// Grouping compares interned `u32` pairs; the key strings are
+    /// materialized once per stream, here. Units are unknown at this
+    /// layer (the wire protocol does not carry them). Carries the same
+    /// [`Coverage`] label as [`DaemonSet::merged_samples`].
     pub fn merged_streams(&self) -> MergedStreams {
-        let mut out: Vec<Stream> = Vec::new();
-        for s in self.merged_samples() {
-            match out
-                .iter_mut()
-                .find(|st| *st.metric == *s.metric && *st.focus == *s.focus)
-            {
-                Some(st) => st.samples.push((s.aligned_ns, s.value)),
-                None => out.push(Stream {
-                    metric: s.metric.to_string(),
-                    focus: s.focus.to_string(),
-                    units: String::new(),
-                    samples: vec![(s.aligned_ns, s.value)],
-                }),
-            }
-        }
-        MergedStreams {
-            streams: out,
-            coverage: self.coverage(),
-        }
-    }
-
-    /// Pumps every admitted link once through the **columnar** ingest
-    /// path: batched samples decode straight to flat columns and land in
-    /// the data manager's per-shard buffers ([`DaemonConn::drain_columns`]);
-    /// control frames and loose samples take the classic dispatch. The
-    /// struct-spine [`DaemonSet::pump`] remains the default path — this is
-    /// its measured fast twin, rendered at [`DaemonSet::columnar_streams`].
-    pub fn pump_columns(&mut self) -> usize {
-        let data = self.data.clone();
-        let mut n = 0;
-        for (i, cell) in self.conns.iter().enumerate() {
-            let mut conn = lock(cell);
-            if conn.health == DaemonHealth::Quarantined {
-                continue;
-            }
-            n += conn.drain_columns(&data, &mut self.samples, i);
-        }
-        self.update_fleet_health();
-        n
-    }
-
-    /// Render edge of the columnar spine: the shard-merged, aligned-sorted
-    /// columns grouped into one [`Stream`] per (metric, focus) key in
-    /// first-seen order — grouping compares interned `u32` pairs, and the
-    /// key strings are materialized exactly once per stream, here. Renders
-    /// byte-identically to [`DaemonSet::merged_streams`] over the same
-    /// frames. Carries the session's [`Coverage`] like every merged view.
-    pub fn columnar_streams(&self) -> MergedStreams {
         let cols = self.data.merged_sample_columns();
         let mut index: HashMap<(Symbol, Symbol), usize> = HashMap::new();
         let mut out: Vec<Stream> = Vec::new();
@@ -2156,11 +2042,11 @@ impl DaemonSet {
 }
 
 /// The merged, aligned sample stream plus the [`Coverage`] it was computed
-/// under. Derefs to the sample vector, so existing slice-style consumers
+/// under. Derefs to the sample rows, so slice-style consumers
 /// keep working; the label rides along for anyone who asks.
 #[derive(Clone, Debug)]
 pub struct Merged {
-    samples: Vec<AlignedSample>,
+    samples: Box<[AlignedSample]>,
     coverage: Coverage,
 }
 
@@ -2172,13 +2058,13 @@ impl Merged {
 
     /// Consumes the wrapper, keeping just the samples.
     pub fn into_vec(self) -> Vec<AlignedSample> {
-        self.samples
+        self.samples.into_vec()
     }
 }
 
 impl Deref for Merged {
-    type Target = Vec<AlignedSample>;
-    fn deref(&self) -> &Vec<AlignedSample> {
+    type Target = [AlignedSample];
+    fn deref(&self) -> &[AlignedSample] {
         &self.samples
     }
 }
@@ -2187,7 +2073,7 @@ impl IntoIterator for Merged {
     type Item = AlignedSample;
     type IntoIter = std::vec::IntoIter<AlignedSample>;
     fn into_iter(self) -> Self::IntoIter {
-        self.samples.into_iter()
+        self.into_vec().into_iter()
     }
 }
 
@@ -2385,7 +2271,7 @@ mod tests {
             "merged stream is nondecreasing in aligned time"
         );
 
-        let mut by_wall = set.samples().to_vec();
+        let mut by_wall = merged.into_vec();
         by_wall.sort_by_key(|s| s.wall);
         let wall_order: Vec<f64> = by_wall.iter().map(|s| s.value).collect();
         assert_ne!(
@@ -2428,7 +2314,7 @@ mod tests {
     }
 
     #[test]
-    fn pump_parallel_feeds_all_shards() {
+    fn pump_feeds_all_shards() {
         let (mut set, daemons) = set_with_skews(&[0, 0, 0, 0]);
         for (i, d) in daemons.iter().enumerate() {
             for k in 0..8 {
@@ -2438,8 +2324,8 @@ mod tests {
         let mut total = 0;
         let deadline = Instant::now() + Duration::from_secs(5);
         while total < 32 && Instant::now() < deadline {
-            set.pump_parallel();
-            total = set.samples().len();
+            set.pump();
+            total = set.sample_count();
         }
         assert_eq!(total, 32);
         for i in 0..4 {
@@ -2726,7 +2612,7 @@ mod tests {
         }
         set.pump_until_samples(6, Duration::from_secs(5));
         assert_eq!(set.pool_size(), Some(size), "pool persists across drains");
-        assert_eq!(set.samples().len(), 6);
+        assert_eq!(set.sample_count(), 6);
     }
 
     #[test]
@@ -2752,48 +2638,6 @@ mod tests {
         let merged = set.merged_samples();
         let values: Vec<f64> = merged.iter().map(|s| s.value).collect();
         assert_eq!(values, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn columnar_streams_render_byte_identically_to_merged_streams() {
-        // Two skewed daemons, each sending the SAME batch twice: once
-        // drained by the classic struct pump, once by the columnar pump.
-        // The two spines store independently, so rendering both and
-        // comparing their Debug text proves byte-identity end to end
-        // (skew correction, merge order, grouping, name materialization).
-        let skews = [40_000_000i64, -25_000_000];
-        let (mut set, daemons) = set_with_skews(&skews);
-        sync(&mut set, &daemons);
-        let batches: Vec<pdmap_transport::SampleBatch> = daemons
-            .iter()
-            .enumerate()
-            .map(|(di, d)| pdmap_transport::SampleBatch {
-                samples: (0..6)
-                    .map(|i| pdmap_transport::BatchSample {
-                        metric: if i % 2 == 0 { "CPU time" } else { "Summations" }.into(),
-                        focus: if i < 3 { "/" } else { "/CMFarrays/bow.fcm" }.into(),
-                        wall: d.now() + di as u64 * 100 + i * 1_000,
-                        value: i as f64 * 0.5,
-                    })
-                    .collect(),
-                ..Default::default()
-            })
-            .collect();
-        for (d, b) in daemons.iter().zip(&batches) {
-            send_wire(&*d.tx, b).unwrap();
-        }
-        assert_eq!(set.pump_until_samples(12, Duration::from_secs(5)), 12);
-        for (d, b) in daemons.iter().zip(&batches) {
-            send_wire(&*d.tx, b).unwrap();
-        }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while set.data().merged_sample_columns().len() < 12 && Instant::now() < deadline {
-            set.pump_columns();
-        }
-        let classic = set.merged_streams();
-        let columnar = set.columnar_streams();
-        assert_eq!(classic.len(), 4);
-        assert_eq!(format!("{classic:?}"), format!("{columnar:?}"));
     }
 
     #[test]
@@ -2844,21 +2688,22 @@ mod tests {
     }
 
     #[test]
-    fn unbatched_samples_intern_metric_and_focus() {
+    fn loose_and_batched_names_resolve_through_one_link_cache() {
         let (mut set, daemons) = set_with_skews(&[0]);
         sync(&mut set, &daemons);
         daemons[0].send_sample("Computation Time", 1.0);
         daemons[0].send_sample("Computation Time", 2.0);
-        set.pump_until_samples(2, Duration::from_secs(5));
-        let s = set.samples();
-        assert!(
-            Arc::ptr_eq(&s[0].metric, &s[1].metric),
-            "repeated metric names share one allocation"
-        );
-        assert!(
-            Arc::ptr_eq(&s[0].focus, &s[1].focus),
-            "repeated focus names share one allocation"
-        );
+        let batch = seq_batch(1, 0, 2, daemons[0].now());
+        send_wire(&*daemons[0].tx, &batch).unwrap();
+        daemons[0].send_sample("M", 3.0);
+        set.pump_until_samples(5, Duration::from_secs(5));
+        let rows = set.merged_samples();
+        assert_eq!(rows[0].metric, rows[1].metric, "one symbol per name");
+        assert_eq!(rows[0].metric.as_str(), "Computation Time");
+        assert!(rows[2..].iter().all(|r| r.metric.as_str() == "M"));
+        assert_eq!(rows[2].focus, rows[0].focus, "batch and loose share '/'");
+        // Three distinct names on the link, each resolved once.
+        assert_eq!(set.conn(0).names.len(), 3);
     }
 
     /// Ships a synthetic telemetry snapshot — the rows `pdmapd --obs-period`
@@ -2924,6 +2769,63 @@ mod tests {
         let banner = p.to_string();
         assert!(banner.contains("2 nodes"), "{banner}");
         assert!(banner.contains('%'), "{banner}");
+    }
+
+    #[test]
+    fn batched_telemetry_reaches_fleet_health() {
+        // Telemetry first arrives loose, goes quiet past the degrade
+        // threshold, then resumes as batched rows: the batches must reach
+        // the fleet view, so the fresh links stay healthy.
+        let (mut set, daemons) = set_with_skews(&[0, 0]);
+        sync(&mut set, &daemons);
+        set.set_policy(SupervisorPolicy {
+            degrade_after: Duration::from_millis(50),
+            ..fast_policy()
+        });
+        let labels: Vec<String> = (0..2)
+            .map(|i| obs_focus("daemon", &format!("fake#{i}")))
+            .collect();
+        for (d, label) in daemons.iter().zip(&labels) {
+            d.send_focused(&obs_count_metric("daemon", "send"), label, 1.0);
+        }
+        assert_eq!(set.pump_until_samples(2, Duration::from_secs(5)), 2);
+        std::thread::sleep(Duration::from_millis(60));
+        for (i, (d, label)) in daemons.iter().zip(&labels).enumerate() {
+            let wall = d.now();
+            let batch = pdmap_transport::SampleBatch {
+                samples: [
+                    obs_time_metric("daemon", "send"),
+                    obs_count_metric("daemon", "send"),
+                ]
+                .into_iter()
+                .enumerate()
+                .map(|(k, metric)| pdmap_transport::BatchSample {
+                    metric: metric.as_str().into(),
+                    focus: label.as_str().into(),
+                    wall: wall + k as u64,
+                    value: (i * 10 + k) as f64,
+                })
+                .collect(),
+                seq: 1,
+                ..Default::default()
+            };
+            send_wire(&*d.tx, &batch).unwrap();
+        }
+        assert_eq!(set.pump_until_samples(6, Duration::from_secs(5)), 6);
+        set.supervise();
+        for (i, label) in labels.iter().enumerate() {
+            assert_eq!(
+                set.health(i),
+                DaemonHealth::Healthy,
+                "fresh telemetry on link {i}"
+            );
+            let node = set.fleet_health().node(label).expect("node listed");
+            assert_eq!((node.daemon, node.samples), (i, 3), "{label}");
+            assert_eq!(
+                node.metric(&obs_count_metric("daemon", "send")),
+                Some((i * 10 + 1) as f64)
+            );
+        }
     }
 
     #[test]

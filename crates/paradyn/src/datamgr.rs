@@ -24,7 +24,7 @@
 //! allocated (its subtree of `CMFarrays`, plus its `Machine` nodes) — while
 //! the **read-mostly shared catalogue** (mapping table, PIF metrics, the
 //! merged where axis) sits behind one `RwLock`. The write paths taken per
-//! message (`array_allocated_on`, `note_samples_on`) touch only their
+//! message (`array_allocated_on`, `land_on`) touch only their
 //! shard: allocations are appended locally and queued as *pending axis
 //! updates*; readers ([`DataManager::render_where_axis`],
 //! [`DataManager::resolve_focus`], …) merge every shard's pending queue
@@ -37,8 +37,9 @@
 //!   announced it (merge is idempotent, like [`ResourceTree::child`]);
 //! * `dynamic_arrays()` is the shard-order concatenation, so the 1-shard
 //!   manager behaves exactly like the pre-sharding one;
-//! * sample delivery never takes any DataManager lock — only per-shard
-//!   relaxed counters move.
+//! * sample delivery takes only its own shard's sample-buffer lock, never
+//!   a manager-wide one: each shard's [`SampleColumns`] is the one place a
+//!   sample lives, and its counters are relaxed atomics.
 //!
 //! [`ResourceTree::child`]: pdmap::hierarchy::ResourceTree::child
 
@@ -135,10 +136,9 @@ pub struct ShardStats {
 /// registry as `datamgr.shard<K>.{imports,samples,lock_wait_ns}`.
 struct Shard {
     inner: Mutex<ShardInner>,
-    /// The shard's columnar sample buffer: batched samples delivered by
-    /// this shard's daemon land here as flat columns (see
-    /// [`DataManager::append_columns_on`]). Separate from `inner` so the
-    /// sample path never contends with the import path.
+    /// The shard's columnar sample buffer: every sample delivered by this
+    /// shard's daemons lands here (see [`DataManager::land_on`]). Separate
+    /// from `inner` so the sample path never contends with the import path.
     cols: Mutex<SampleColumns>,
     imports: AtomicU64,
     samples: AtomicU64,
@@ -387,45 +387,28 @@ impl DataManager {
             .push(array);
     }
 
-    /// Records `n` metric samples delivered via `shard`. Lock-free: the
-    /// sample path moves only relaxed counters, never a manager lock.
-    pub fn note_samples_on(&self, shard: usize, n: u64) {
+    /// Lands samples in shard `shard`'s column buffer: `f` appends under
+    /// the shard's sample lock, and the rows it added move the shard's
+    /// sample counters. No manager-wide lock is taken.
+    pub fn land_on(&self, shard: usize, f: impl FnOnce(&mut SampleColumns)) {
         let s = &self.shards[shard % self.shards.len()];
+        let mut cols = s.cols.lock();
+        let before = cols.len();
+        f(&mut cols);
+        let n = (cols.len() - before) as u64;
+        drop(cols);
         s.samples.fetch_add(n, Ordering::Relaxed);
         s.obs_samples.add(n);
     }
 
-    /// Delivers a decoded wire batch from daemon `daemon` into shard
-    /// `shard`'s columnar buffer, interning the batch dictionary and
-    /// applying the daemon's clock offset as it lands. The columnar twin
-    /// of the struct spine's per-sample delivery: counts move on the same
-    /// relaxed per-shard counters, and no shared lock is taken.
-    pub fn append_columns_on(
-        &self,
-        shard: usize,
-        daemon: u32,
-        offset_ns: i64,
-        batch: &pdmap_transport::BatchColumns,
-    ) {
-        let s = &self.shards[shard % self.shards.len()];
-        s.cols.lock().extend_batch(daemon, offset_ns, batch);
-        let n = batch.len() as u64;
-        s.samples.fetch_add(n, Ordering::Relaxed);
-        s.obs_samples.add(n);
+    /// Runs `f` against shard `shard`'s column buffer, in arrival order.
+    pub fn read_shard<R>(&self, shard: usize, f: impl FnOnce(&SampleColumns) -> R) -> R {
+        f(&self.shards[shard % self.shards.len()].cols.lock())
     }
 
-    /// Re-applies skew correction for `daemon` across every shard's
-    /// columnar buffer — the column-pass rewrite a later clock sync owes
-    /// samples that already landed under a stale offset estimate.
-    pub fn realign_columns(&self, daemon: u32, offset_ns: i64) {
-        for s in self.shards.iter() {
-            s.cols.lock().realign(daemon, offset_ns);
-        }
-    }
-
-    /// One-pass variant of [`DataManager::realign_columns`] covering every
-    /// daemon at once (`offsets` indexed by daemon id) — what the
-    /// post-handshake rewrite uses instead of N full passes.
+    /// Re-applies skew correction across every shard's column buffer
+    /// (`offsets` indexed by daemon id) — the rewrite a clock sync owes
+    /// samples that landed under a stale offset estimate.
     pub fn realign_columns_all(&self, offsets: &[i64]) {
         for s in self.shards.iter() {
             s.cols.lock().realign_all(offsets);
@@ -434,8 +417,9 @@ impl DataManager {
 
     /// The shard-merged columnar sample view: every shard's buffer
     /// concatenated in shard order, then stably sorted by aligned time —
-    /// same-instant samples keep shard-then-arrival order. Names stay
-    /// interned; callers materialize strings only at the render edge.
+    /// same-instant samples break ties shard first, then by arrival.
+    /// Names stay interned; callers materialize strings only at the
+    /// render edge.
     pub fn merged_sample_columns(&self) -> SampleColumns {
         let mut out = SampleColumns::new();
         for s in self.shards.iter() {
@@ -598,6 +582,16 @@ mod tests {
         dm
     }
 
+    /// Lands `n` one-key sample rows in `shard`.
+    fn land(dm: &DataManager, shard: usize, n: usize) {
+        let m = pdmap::intern::sym("M");
+        dm.land_on(shard, |c| {
+            for i in 0..n as u64 {
+                c.push(shard as u32, m, m, i, i, 1.0);
+            }
+        });
+    }
+
     fn alloc(name: &str, nodes: std::ops::Range<usize>) -> ArrayAllocInfo {
         ArrayAllocInfo {
             array: ArrayId(0),
@@ -730,7 +724,7 @@ mod tests {
         dm.array_allocated_on(0, &alloc("A", 0..2));
         dm.array_allocated_on(1, &alloc("B", 2..4));
         dm.array_allocated_on(2, &alloc("A", 0..2)); // same name, other daemon
-        dm.note_samples_on(1, 5);
+        land(&dm, 1, 5);
         let shown = dm.render_where_axis();
         // One axis node per array name, with subregions, regardless of shard.
         assert_eq!(shown.matches("  A\n").count(), 1, "{shown}");
@@ -740,6 +734,7 @@ mod tests {
         assert_eq!(dm.shard_stats(1).imports, 1);
         assert_eq!(dm.shard_stats(1).samples, 5);
         assert_eq!(dm.shard_stats(2).samples, 0);
+        assert_eq!(dm.read_shard(1, |c| c.len()), 5, "counters track the rows");
     }
 
     #[test]
@@ -775,7 +770,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..N {
                         dm.array_allocated_on(shard, &alloc(&format!("S{shard}_{i}"), 0..2));
-                        dm.note_samples_on(shard, 1);
+                        land(&dm, shard, 1);
                         if i % 64 == 0 {
                             // Readers interleave with writers on the other shard.
                             let _ = dm.render_where_axis();
@@ -789,6 +784,7 @@ mod tests {
             let st = dm.shard_stats(shard);
             assert_eq!(st.imports, N as u64, "shard {shard} imports");
             assert_eq!(st.samples, N as u64, "shard {shard} samples");
+            assert_eq!(dm.read_shard(shard, |c| c.len()), N, "shard {shard} rows");
         }
         let shown = dm.render_where_axis();
         assert!(shown.contains("S0_0") && shown.contains(&format!("S1_{}", N - 1)));

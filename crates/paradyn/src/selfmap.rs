@@ -928,7 +928,12 @@ mod tests {
                 subgrids: vec![(0, 4, 4)],
             },
         );
-        dm.note_samples_on(0, 3);
+        let m = pdmap::intern::sym("M");
+        dm.land_on(0, |c| {
+            for t in 0..3 {
+                c.push(0, m, m, t, t, 1.0);
+            }
+        });
         let rows = export_shard_obs(&dm);
         assert_eq!(rows.len(), 2 * SHARD_OBS_FIELDS.len());
         let lookup = |name: &str| {

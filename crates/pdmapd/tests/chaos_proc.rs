@@ -97,7 +97,7 @@ fn sigkill_one_of_four_processes_covered_then_restored() {
 
     let deadline = Instant::now() + Duration::from_secs(20);
     while set.health(1) != DaemonHealth::Quarantined && Instant::now() < deadline {
-        set.pump_parallel();
+        set.pump();
         set.supervise();
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -117,7 +117,7 @@ fn sigkill_one_of_four_processes_covered_then_restored() {
     );
     let deadline = Instant::now() + Duration::from_secs(30);
     while set.health(1) == DaemonHealth::Quarantined && Instant::now() < deadline {
-        set.pump_parallel();
+        set.pump();
         set.supervise();
         std::thread::sleep(Duration::from_millis(10));
     }

@@ -119,7 +119,7 @@ fn mid_relay_death_reparents_grandchildren_with_exact_conservation() {
     // The root composes subtree coverage through both mid relays: 4/4.
     let deadline = Instant::now() + Duration::from_secs(15);
     loop {
-        set.pump_parallel();
+        set.pump();
         let cov = set.coverage();
         if (cov.nodes_reporting, cov.nodes_total) == (4, 4) {
             break;
@@ -138,7 +138,7 @@ fn mid_relay_death_reparents_grandchildren_with_exact_conservation() {
     let _ = m1.kill();
     let deadline = Instant::now() + Duration::from_secs(25);
     loop {
-        set.pump_parallel();
+        set.pump();
         let cov = set.coverage();
         if (cov.nodes_reporting, cov.nodes_total) == (4, 4) {
             break;
@@ -153,13 +153,13 @@ fn mid_relay_death_reparents_grandchildren_with_exact_conservation() {
     // Give the root's adoption machinery time to complete (notice the
     // dead child, dial the grandchildren, re-sync their clocks, seed the
     // replay) while the surviving subtree keeps streaming.
-    let before = set.samples().len();
+    let before = set.sample_count();
     let settle = Instant::now() + Duration::from_secs(3);
     while Instant::now() < settle {
-        set.pump_parallel();
+        set.pump();
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert!(set.samples().len() >= before + 16, "stream kept moving");
+    assert!(set.sample_count() >= before + 16, "stream kept moving");
     let t_end = pdmap_obs::now_ns();
 
     // Transitive clock chaining survives the handover: the adopted leaves'
@@ -241,7 +241,7 @@ fn beaconed_standby_adopts_an_orphaned_leaf() {
     // Samples flow through the primary first.
     let deadline = Instant::now() + Duration::from_secs(20);
     while set.conn(0).samples_received() < 8 {
-        set.pump_parallel();
+        set.pump();
         assert!(Instant::now() < deadline, "primary route never delivered");
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -253,7 +253,7 @@ fn beaconed_standby_adopts_an_orphaned_leaf() {
     let deadline = Instant::now() + Duration::from_secs(30);
     while set.conn(1).samples_received() < 8 {
         set.supervise();
-        set.pump_parallel();
+        set.pump();
         assert!(
             Instant::now() < deadline,
             "standby never took over the stream"
@@ -270,7 +270,11 @@ fn beaconed_standby_adopts_an_orphaned_leaf() {
     // No duplicates through the handover: the leaf's values are unique
     // (0, 1, 2, …), so any replay the watermark failed to suppress would
     // show up as a repeated value at the tool.
-    let values: Vec<u64> = set.samples().iter().map(|s| s.value as u64).collect();
+    let values: Vec<u64> = set
+        .merged_samples()
+        .iter()
+        .map(|s| s.value as u64)
+        .collect();
     let distinct: std::collections::HashSet<_> = values.iter().copied().collect();
     assert_eq!(values.len(), distinct.len(), "no duplicate samples at tool");
 
@@ -356,7 +360,11 @@ fn seeded_partition_window_heals_by_replay_without_duplicates() {
         total,
         "replay filled every partition-dropped batch — no silent gap"
     );
-    let values: Vec<u64> = set.samples().iter().map(|s| s.value as u64).collect();
+    let values: Vec<u64> = set
+        .merged_samples()
+        .iter()
+        .map(|s| s.value as u64)
+        .collect();
     let distinct: std::collections::HashSet<_> = values.iter().copied().collect();
     assert_eq!(values.len(), distinct.len(), "no double count");
     assert_eq!(

@@ -123,7 +123,7 @@ fn node_foci(leaves: &[RunningDaemon], relays: &[RunningRelay]) -> Vec<String> {
 fn pump_until(set: &mut DaemonSet, what: &str, mut cond: impl FnMut(&DaemonSet) -> bool) {
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
-        set.pump_parallel();
+        set.pump();
         if cond(set) {
             return;
         }
@@ -155,9 +155,9 @@ fn telemetry_streams_through_the_tree_and_answers_remote_questions() {
     // so the per-leaf ledgers below are exact (telemetry answers arrive
     // well before the 12-sample budget drains).
     pump_until(&mut set, "all 48 application samples", |s| {
-        s.samples()
+        s.merged_samples()
             .iter()
-            .filter(|x| !x.focus.starts_with("Tool/"))
+            .filter(|x| !x.focus.as_str().starts_with("Tool/"))
             .count()
             >= 48
     });
@@ -228,7 +228,7 @@ fn a_killed_leaf_goes_stale_in_fleet_health_before_any_quarantine() {
     let staleness = Duration::from_millis(400);
     let deadline = Instant::now() + Duration::from_secs(15);
     loop {
-        set.pump_parallel();
+        set.pump();
         set.supervise();
         let stale: Vec<String> = set
             .fleet_health()

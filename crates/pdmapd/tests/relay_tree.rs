@@ -99,7 +99,7 @@ fn tree_2x2(
 fn await_subtree_reports(set: &mut DaemonSet) {
     let deadline = Instant::now() + Duration::from_secs(15);
     while Instant::now() < deadline {
-        set.pump_parallel();
+        set.pump();
         if (0..2).all(|i| set.conn(i).subtree_coverage().is_some()) {
             return;
         }
@@ -194,7 +194,7 @@ fn killing_a_leaf_costs_exactly_one_reporting_node() {
     let _ = leaves.remove(0).kill();
     let deadline = Instant::now() + Duration::from_secs(15);
     loop {
-        set.pump_parallel();
+        set.pump();
         let cov = set.coverage();
         if (cov.nodes_reporting, cov.nodes_total) == (3, 4) {
             break;
@@ -208,9 +208,9 @@ fn killing_a_leaf_costs_exactly_one_reporting_node() {
     }
 
     // The surviving subtree keeps streaming through the same session.
-    let before = set.samples().len();
+    let before = set.sample_count();
     set.pump_until_samples(before + 8, Duration::from_secs(15));
-    assert!(set.samples().len() >= before + 8);
+    assert!(set.sample_count() >= before + 8);
 
     let cov = set.shutdown_all(Duration::from_secs(15));
     assert_eq!(
@@ -242,7 +242,7 @@ fn killing_a_relay_darkens_its_whole_subtree() {
     let deadline = Instant::now() + Duration::from_secs(15);
     loop {
         set.supervise();
-        set.pump_parallel();
+        set.pump();
         let cov = set.coverage();
         if (cov.nodes_reporting, cov.nodes_total) == (2, 4) {
             break;

@@ -85,7 +85,7 @@ fn kill_one_of_four_is_covered_then_restored() {
     // other three keep reporting. No panic anywhere on this path.
     let deadline = Instant::now() + Duration::from_secs(15);
     while set.health(2) != DaemonHealth::Quarantined && Instant::now() < deadline {
-        set.pump_parallel();
+        set.pump();
         set.supervise();
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -116,7 +116,7 @@ fn kill_one_of_four_is_covered_then_restored() {
     );
     let deadline = Instant::now() + Duration::from_secs(20);
     while set.health(2) == DaemonHealth::Quarantined && Instant::now() < deadline {
-        set.pump_parallel();
+        set.pump();
         set.supervise();
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -140,7 +140,7 @@ fn kill_one_of_four_is_covered_then_restored() {
     let before = set.conn(2).samples_received();
     let deadline = Instant::now() + Duration::from_secs(10);
     while set.conn(2).samples_received() == before && Instant::now() < deadline {
-        set.pump_parallel();
+        set.pump();
         std::thread::sleep(Duration::from_millis(5));
     }
     assert!(

@@ -154,7 +154,7 @@ fn killing_one_daemon_flips_borderline_verdicts_only() {
     let _ = daemons[2].take().unwrap().kill();
     let deadline = Instant::now() + Duration::from_secs(15);
     while set.health(2) != DaemonHealth::Quarantined && Instant::now() < deadline {
-        set.pump_parallel();
+        set.pump();
         set.supervise();
         std::thread::sleep(Duration::from_millis(10));
     }

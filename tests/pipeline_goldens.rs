@@ -102,7 +102,17 @@ destination = {line1161, Executes}
 
 #[test]
 fn daemon_wire_format_golden() {
+    // The binary `DaemonMsg` payloads, byte for byte (little-endian
+    // integers, u32-length-prefixed strings, a leading tag byte).
     use paradyn_tool::DaemonMsg;
+    use pdmap_transport::WirePayload;
+    let hex = |m: &DaemonMsg| -> String {
+        m.to_frame()
+            .payload
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect()
+    };
     let msg = DaemonMsg::ArrayAllocated {
         id: 7,
         name: "TOT".into(),
@@ -110,16 +120,30 @@ fn daemon_wire_format_golden() {
         dist: cmrts_sim::Distribution::Block,
         subgrids: vec![(0, 32, 2048), (1, 32, 2048)],
     };
-    assert_eq!(msg.encode(), "ALLOC|7|TOT|64,64|block|0:32:2048,1:32:2048");
+    assert_eq!(
+        hex(&msg),
+        "00070000000300000054 4f54 02000000 4000000000000000 4000000000000000 \
+         05000000 626c6f636b 02000000 0000000000000000 2000000000000000 0008000000000000 \
+         0100000000000000 2000000000000000 0008000000000000"
+            .replace(' ', "")
+    );
     let free = DaemonMsg::ArrayFreed { id: 7 };
-    assert_eq!(free.encode(), "FREE|7");
+    assert_eq!(hex(&free), "0107000000");
     let sample = DaemonMsg::Sample {
         metric: "Idle Time".into(),
         focus: "<whole program>".into(),
         wall: 42,
         value: 0.5,
     };
-    assert_eq!(sample.encode(), "SAMPLE|Idle Time|<whole program>|42|0.5");
+    assert_eq!(
+        hex(&sample),
+        "02 09000000 49646c652054696d65 0f000000 3c77686f6c652070726f6772616d3e \
+         2a00000000000000 000000000000e03f"
+            .replace(' ', "")
+    );
+    for m in [msg, free, sample] {
+        assert_eq!(DaemonMsg::from_frame(&m.to_frame()).unwrap(), m);
+    }
 }
 
 #[test]

@@ -100,18 +100,18 @@ fn question_registered_after_filtering_misses_history() {
 #[test]
 fn daemon_tolerates_garbage_on_the_wire() {
     use paradyn_tool::daemon::Daemon;
-    use pdmap_transport::{FaultPlan, Frame, FrameError, FrameKind};
+    use pdmap_transport::{FaultPlan, Frame, FrameError, FrameKind, WirePayload};
     let ns = Namespace::new();
     let dm = Arc::new(paradyn_tool::DataManager::new(ns, "CM Fortran"));
     let (endpoint, mut daemon) = Daemon::pair(dm.clone());
-    // Valid traffic around a bogus line: the sender only emits valid
-    // messages, so inject garbage by reusing the sample channel with a
-    // metric name that decodes fine, then check error accounting via a
-    // direct decode of malformed input.
+    // Valid traffic around a bogus payload: the sender only emits valid
+    // messages, so check error accounting via a direct decode of a
+    // payload whose tag byte no message uses.
     endpoint.send_sample("ok", "f", 1, 2.0);
     daemon.pump();
     assert_eq!(daemon.samples().len(), 1);
-    assert!(paradyn_tool::DaemonMsg::decode("GARBAGE|x").is_err());
+    let garbage = Frame::data(FrameKind::Daemon, b"GARBAGE|x".to_vec());
+    assert!(paradyn_tool::DaemonMsg::from_frame(&garbage).is_err());
 
     // Byte-level garbage: run the seeded mangler over many frames and
     // check every mode lands in the decode-error class it aims at —
