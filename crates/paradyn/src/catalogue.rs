@@ -484,6 +484,15 @@ metric transport_auth_failures {
     foreach point "transport::auth:reject" { incrCounter 1; }
 }
 
+metric transport_setup_failures {
+    name "Transport Setup Failures";
+    units operations;
+    aggregate sum;
+    level "Transport";
+    description "Connection attempts dropped for want of a file descriptor or a reader thread.";
+    foreach point "transport::conn:setup_fail" { incrCounter 1; }
+}
+
 metric transport_batched_samples_sent {
     name "Transport Batched Samples Sent";
     units operations;

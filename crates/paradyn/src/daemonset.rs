@@ -71,7 +71,7 @@ use crate::selfmap;
 use crate::stream::Stream;
 use cmrts_sim::machine::ArrayAllocInfo;
 use cmrts_sim::ArrayId;
-use pdmap::columns::SampleColumns;
+use pdmap::columns::{radix_sort_by_key, SampleColumns};
 use pdmap::intern::{self, Symbol};
 use pdmap::interval::Interval;
 use pdmap::model::Namespace;
@@ -1993,15 +1993,22 @@ impl DaemonSet {
     }
 
     /// The merged sample stream, sorted by aligned (tool-clock) time —
-    /// the single stream the paper's front end consumes: a row view over
-    /// [`DataManager::merged_sample_columns`]. Same-instant samples break
-    /// ties shard first, then by arrival. The result carries the session's
+    /// the single stream the paper's front end consumes. Every shard's
+    /// columns are concatenated in shard order (one lock each), one row
+    /// permutation is stably sorted by aligned time, and the rows are read
+    /// straight through it. Same-instant samples therefore break ties
+    /// shard first, then by arrival. The result carries the session's
     /// [`Coverage`], so a merge computed over a degraded fleet is labeled
     /// as such instead of silently reading low.
     pub fn merged_samples(&self) -> Merged {
-        let cols = self.data.merged_sample_columns();
-        let samples = (0..cols.len())
-            .map(|i| AlignedSample::row(&cols, i))
+        let mut cols = SampleColumns::new();
+        for shard in 0..self.data.shard_count() {
+            self.data.read_shard(shard, |c| cols.append(c));
+        }
+        let mut order: Vec<u32> = (0..cols.len() as u32).collect();
+        order.sort_by_key(|&i| cols.aligneds()[i as usize]);
+        let samples = (order.iter())
+            .map(|&i| AlignedSample::row(&cols, i as usize))
             .collect();
         Merged {
             samples,
@@ -2011,31 +2018,80 @@ impl DaemonSet {
 
     /// Groups the merged stream into one [`Stream`] per (metric, focus)
     /// pair in first-seen order, with sample times on the tool clock.
-    /// Grouping compares interned `u32` pairs; the key strings are
-    /// materialized once per stream, here. Units are unknown at this
-    /// layer (the wire protocol does not carry them). Carries the same
+    ///
+    /// Group first, sort second: each shard is read under its lock once,
+    /// its rows bucketed by their packed `u32` symbol pair and appended to
+    /// their stream in arrival order. Every stream that is not already in
+    /// time order is then stably radix-sorted on its own
+    /// ([`radix_sort_by_key`]), and the streams are emitted ordered by
+    /// their smallest (aligned, shard, arrival) row. Rows enter each
+    /// stream in (shard, arrival) order and the sort is stable, so this is
+    /// exactly the merged order of [`DaemonSet::merged_samples`] restricted
+    /// to each stream, without sorting the whole session. The key strings
+    /// are materialized once per stream. Units are unknown at this layer
+    /// (the wire protocol does not carry them). Carries the same
     /// [`Coverage`] label as [`DaemonSet::merged_samples`].
     pub fn merged_streams(&self) -> MergedStreams {
-        let cols = self.data.merged_sample_columns();
-        let mut index: HashMap<(Symbol, Symbol), usize> = HashMap::new();
-        let mut out: Vec<Stream> = Vec::new();
-        for i in 0..cols.len() {
-            let key = (cols.metrics()[i], cols.foci()[i]);
-            let slot = *index.entry(key).or_insert_with(|| {
-                out.push(Stream {
-                    metric: key.0.as_str().to_string(),
-                    focus: key.1.as_str().to_string(),
-                    units: String::new(),
-                    samples: Vec::new(),
-                });
-                out.len() - 1
+        let mut index: FxHashMap<u64, u32> = FxHashMap::default();
+        let mut keys: Vec<(Symbol, Symbol)> = Vec::new();
+        let mut rows: Vec<Vec<(u64, f64)>> = Vec::new();
+        // Per stream, its first row in the merged order: the smallest
+        // aligned time, ties to the earliest (shard, arrival) position.
+        let mut first: Vec<(u64, u64)> = Vec::new();
+        let (mut slots, mut counts) = (Vec::new(), Vec::new());
+        let mut seen = 0u64;
+        for shard in 0..self.data.shard_count() {
+            self.data.read_shard(shard, |cols| {
+                slots.clear();
+                slots.extend(cols.metrics().iter().zip(cols.foci()).map(|(&m, &f)| {
+                    let packed = (m.index() as u64) << 32 | f.index() as u64;
+                    *index.entry(packed).or_insert_with(|| {
+                        keys.push((m, f));
+                        rows.push(Vec::new());
+                        first.push((u64::MAX, u64::MAX));
+                        (keys.len() - 1) as u32
+                    })
+                }));
+                counts.clear();
+                counts.resize(keys.len(), 0usize);
+                for &slot in &slots {
+                    counts[slot as usize] += 1;
+                }
+                for (stream, &n) in rows.iter_mut().zip(&counts) {
+                    stream.reserve_exact(n);
+                }
+                let samples = cols.aligneds().iter().zip(cols.values());
+                for (&slot, (&t, &v)) in slots.iter().zip(samples) {
+                    let slot = slot as usize;
+                    rows[slot].push((t, v));
+                    // Rows arrive in (shard, arrival) order, so only a
+                    // strictly earlier instant displaces the first row.
+                    if (t, seen) < first[slot] {
+                        first[slot] = (t, seen);
+                    }
+                    seen += 1;
+                }
             });
-            out[slot]
-                .samples
-                .push((cols.aligneds()[i], cols.values()[i]));
         }
+        let mut scratch = Vec::new();
+        for stream in &mut rows {
+            if !stream.is_sorted_by_key(|&(t, _)| t) {
+                radix_sort_by_key(stream, &mut scratch, |&(t, _)| t);
+            }
+        }
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_unstable_by_key(|&k| first[k]);
+        let streams = order
+            .into_iter()
+            .map(|k| Stream {
+                metric: keys[k].0.as_str().to_string(),
+                focus: keys[k].1.as_str().to_string(),
+                units: String::new(),
+                samples: std::mem::take(&mut rows[k]),
+            })
+            .collect();
         MergedStreams {
-            streams: out,
+            streams,
             coverage: self.coverage(),
         }
     }
@@ -2281,6 +2337,41 @@ mod tests {
         assert_eq!(
             set.data().shard_stats(0).samples + set.data().shard_stats(1).samples,
             n as u64
+        );
+    }
+
+    #[test]
+    fn merged_views_break_same_instant_ties_shard_first_then_by_arrival() {
+        let (set, _daemons) = set_with_skews(&[0, 0]);
+        let m = intern::sym("m");
+        let (fa, fb) = (intern::sym("a"), intern::sym("b"));
+        set.data().land_on(0, |c| {
+            c.push(0, m, fa, 30, 30, 1.0);
+            c.push(0, m, fa, 10, 10, 2.0);
+            c.push(0, m, fb, 10, 10, 4.0);
+        });
+        set.data().land_on(1, |c| c.push(1, m, fb, 10, 10, 3.0));
+        let merged = set.merged_samples();
+        let rows: Vec<(u64, usize, f64)> = merged
+            .iter()
+            .map(|s| (s.aligned_ns, s.daemon, s.value))
+            .collect();
+        // The t=10 ties keep shard order, and arrival order within one.
+        assert_eq!(
+            rows,
+            [(10, 0, 2.0), (10, 0, 4.0), (10, 1, 3.0), (30, 0, 1.0)]
+        );
+        let streams = set.merged_streams();
+        let got: Vec<(&str, &[(u64, f64)])> = streams
+            .iter()
+            .map(|s| (s.focus.as_str(), &s.samples[..]))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("a", &[(10, 2.0), (30, 1.0)][..]),
+                ("b", &[(10, 4.0), (10, 3.0)][..])
+            ]
         );
     }
 

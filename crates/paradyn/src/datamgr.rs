@@ -415,20 +415,6 @@ impl DataManager {
         }
     }
 
-    /// The shard-merged columnar sample view: every shard's buffer
-    /// concatenated in shard order, then stably sorted by aligned time —
-    /// same-instant samples break ties shard first, then by arrival.
-    /// Names stay interned; callers materialize strings only at the
-    /// render edge.
-    pub fn merged_sample_columns(&self) -> SampleColumns {
-        let mut out = SampleColumns::new();
-        for s in self.shards.iter() {
-            out.append(&s.cols.lock());
-        }
-        out.sort_by_aligned();
-        out
-    }
-
     fn array_active_sentence(&self, array: &str) -> Option<SentenceId> {
         let level = self.ns.find_level(&self.source_level)?;
         let verb = self.ns.find_verb(level, "Active")?;

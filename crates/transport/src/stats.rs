@@ -24,6 +24,7 @@ pub struct StatsCell {
     acks_received: AtomicU64,
     max_queue_depth: AtomicU64,
     auth_failures: AtomicU64,
+    setup_failures: AtomicU64,
     samples_batched_sent: AtomicU64,
     samples_batched_received: AtomicU64,
 }
@@ -87,6 +88,12 @@ impl StatsCell {
         self.auth_failures.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records a connection attempt dropped because the process could not
+    /// spare it a file descriptor (stream clone) or a reader thread.
+    pub fn on_setup_failure(&self) {
+        self.setup_failures.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records `n` samples leaving in a [`crate::wire::SampleBatch`] frame.
     pub fn on_batched_samples_sent(&self, n: u64) {
         self.samples_batched_sent.fetch_add(n, Ordering::Relaxed);
@@ -121,6 +128,7 @@ impl StatsCell {
             acks_received: self.acks_received.load(Ordering::Relaxed),
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
             auth_failures: self.auth_failures.load(Ordering::Relaxed),
+            setup_failures: self.setup_failures.load(Ordering::Relaxed),
             samples_batched_sent: self.samples_batched_sent.load(Ordering::Relaxed),
             samples_batched_received: self.samples_batched_received.load(Ordering::Relaxed),
         }
@@ -159,6 +167,9 @@ pub struct TransportStats {
     /// Peers rejected by the authenticated Hello handshake (wrong or
     /// missing tag); a rejected peer never reaches the session.
     pub auth_failures: u64,
+    /// Connection attempts dropped for want of a file descriptor or a
+    /// reader thread; the link reconnects instead of the process panicking.
+    pub setup_failures: u64,
     /// Samples carried out in `SampleBatch` frames (counted per sample, not
     /// per frame — this is the conservation-relevant unit).
     pub samples_batched_sent: u64,
@@ -185,6 +196,7 @@ impl TransportStats {
             ("Transport Acks Received", self.acks_received),
             ("Transport Max Queue Depth", self.max_queue_depth),
             ("Transport Auth Failures", self.auth_failures),
+            ("Transport Setup Failures", self.setup_failures),
             ("Transport Batched Samples Sent", self.samples_batched_sent),
             (
                 "Transport Batched Samples Received",
@@ -222,9 +234,9 @@ mod tests {
     #[test]
     fn rows_cover_every_field() {
         let s = TransportStats::default();
-        assert_eq!(s.rows().len(), 16);
+        assert_eq!(s.rows().len(), 17);
         let names: std::collections::BTreeSet<_> = s.rows().iter().map(|&(n, _)| n).collect();
-        assert_eq!(names.len(), 16, "metric names must be distinct");
+        assert_eq!(names.len(), 17, "metric names must be distinct");
     }
 
     #[test]

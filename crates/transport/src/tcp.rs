@@ -21,7 +21,7 @@ use crate::queue::BoundedQueue;
 use crate::stats::{StatsCell, TransportStats};
 use crate::{Transport, TransportError};
 use std::collections::{HashMap, VecDeque};
-use std::io::Write;
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -41,6 +41,24 @@ fn sleep_unless(d: Duration, stop: &AtomicBool) {
         }
         std::thread::sleep((deadline - now).min(Duration::from_millis(10)));
     }
+}
+
+/// A second handle on `s` for another thread, made by `clone`
+/// (`TcpStream::try_clone` outside tests). When the clone fails — the
+/// process is out of file descriptors — the failure is counted and `s` is
+/// shut down, so this connection attempt ends and the link's reconnect
+/// path takes over instead of a panic.
+fn clone_stream(
+    stats: &StatsCell,
+    s: &TcpStream,
+    clone: impl FnOnce(&TcpStream) -> io::Result<TcpStream>,
+) -> Option<TcpStream> {
+    let cloned = clone(s).ok();
+    if cloned.is_none() {
+        stats.on_setup_failure();
+        let _ = s.shutdown(Shutdown::Both);
+    }
+    cloned
 }
 
 /// Process-wide source of distinct client ids (mixed with the config seed
@@ -199,10 +217,14 @@ fn establish(
             return None;
         }
         let attempt_failed = match TcpStream::connect(shared.addr) {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                let mut s = stream;
-                if client_handshake(shared, &mut s) {
+            Ok(mut s) => {
+                let _ = s.set_nodelay(true);
+                let reader_half = if client_handshake(shared, &mut s) {
+                    clone_stream(&shared.stats, &s, TcpStream::try_clone)
+                } else {
+                    None
+                };
+                if let Some(reader_half) = reader_half {
                     if *ever_connected {
                         shared.stats.on_reconnect();
                         if let Some(t0) = reconnect_start {
@@ -215,14 +237,14 @@ fn establish(
                     // Publish to the reader.
                     {
                         let mut slot = lock(&shared.conn);
-                        slot.stream = Some(s.try_clone().expect("clone TCP stream"));
+                        slot.stream = Some(reader_half);
                         slot.generation += 1;
                     }
                     shared.conn_cv.notify_all();
                     *lock(&shared.last_seen) = Instant::now();
                     return Some(s);
                 }
-                true // connected but the handshake failed
+                true // connected, but the handshake or the clone failed
             }
             Err(_) => true,
         };
@@ -306,7 +328,11 @@ fn reader_loop(shared: &ClientShared) {
                 if slot.generation > seen_gen {
                     if let Some(s) = &slot.stream {
                         seen_gen = slot.generation;
-                        break s.try_clone().expect("clone TCP stream");
+                        // A failed clone shuts this generation down: the
+                        // writer reconnects and the next one is awaited.
+                        if let Some(s) = clone_stream(&shared.stats, s, TcpStream::try_clone) {
+                            break s;
+                        }
                     }
                 }
                 let (g, _) = shared
@@ -468,6 +494,22 @@ struct ServerShared {
     stats: Arc<StatsCell>,
 }
 
+impl ServerShared {
+    fn new(secret: Option<[u8; 16]>) -> Self {
+        Self {
+            recv: Mutex::new(VecDeque::new()),
+            conns: Mutex::new(Vec::new()),
+            secret,
+            delivered: Mutex::new(HashMap::new()),
+            last_seen: Mutex::new(Instant::now()),
+            closed: AtomicBool::new(false),
+            next_seq: AtomicU64::new(1),
+            accepted: AtomicU64::new(0),
+            stats: Arc::new(StatsCell::default()),
+        }
+    }
+}
+
 /// The accepting end of a TCP link. Fan-in: frames from every connected
 /// client surface through one [`Transport::try_recv`].
 pub struct TcpServer {
@@ -492,17 +534,7 @@ impl TcpServer {
     pub fn bind_with_secret(addr: &str, secret: Option<[u8; 16]>) -> std::io::Result<Arc<Self>> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let shared = Arc::new(ServerShared {
-            recv: Mutex::new(VecDeque::new()),
-            conns: Mutex::new(Vec::new()),
-            secret,
-            delivered: Mutex::new(HashMap::new()),
-            last_seen: Mutex::new(Instant::now()),
-            closed: AtomicBool::new(false),
-            next_seq: AtomicU64::new(1),
-            accepted: AtomicU64::new(0),
-            stats: Arc::new(StatsCell::default()),
-        });
+        let shared = Arc::new(ServerShared::new(secret));
         {
             let s = shared.clone();
             std::thread::Builder::new()
@@ -554,28 +586,13 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
                 if shared.closed.load(Ordering::Acquire) {
                     break;
                 }
-                let _ = stream.set_nodelay(true);
-                let read_half = match stream.try_clone() {
-                    Ok(s) => s,
-                    Err(_) => continue,
+                let spawn = |run| {
+                    std::thread::Builder::new()
+                        .name("pdmap-transport-conn".into())
+                        .spawn(run)
+                        .map(drop)
                 };
-                let handle = Arc::new(ConnHandle {
-                    stream: Mutex::new(stream),
-                    alive: AtomicBool::new(true),
-                });
-                // With auth enabled, registration waits until the peer has
-                // answered the challenge (conn_loop) — an unauthenticated
-                // peer must never receive broadcasts or count as a
-                // connection.
-                if shared.secret.is_none() {
-                    lock(&shared.conns).push(handle.clone());
-                    shared.accepted.fetch_add(1, Ordering::AcqRel);
-                }
-                let sh = shared.clone();
-                std::thread::Builder::new()
-                    .name("pdmap-transport-conn".into())
-                    .spawn(move || conn_loop(read_half, &handle, &sh))
-                    .expect("spawn transport conn reader");
+                admit(shared, stream, spawn, TcpStream::try_clone);
             }
             Err(_) => {
                 if shared.closed.load(Ordering::Acquire) {
@@ -583,6 +600,47 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
                 }
             }
         }
+    }
+}
+
+/// Admits one accepted connection: registers it (unless it must first
+/// authenticate) and starts its reader through `spawn`. When the process
+/// cannot spare the reader a file descriptor (`clone`) or a thread, the
+/// failure is counted, the connection is unregistered and its socket
+/// closed — the peer sees a dropped link and reconnects — and the accept
+/// loop carries on.
+fn admit(
+    shared: &Arc<ServerShared>,
+    stream: TcpStream,
+    spawn: impl FnOnce(Box<dyn FnOnce() + Send>) -> io::Result<()>,
+    clone: impl FnOnce(&TcpStream) -> io::Result<TcpStream>,
+) {
+    let _ = stream.set_nodelay(true);
+    let Some(read_half) = clone_stream(&shared.stats, &stream, clone) else {
+        return;
+    };
+    let handle = Arc::new(ConnHandle {
+        stream: Mutex::new(stream),
+        alive: AtomicBool::new(true),
+    });
+    // With auth enabled, registration waits until the peer has answered
+    // the challenge (conn_loop) — an unauthenticated peer must never
+    // receive broadcasts or count as a connection. Otherwise register
+    // before the reader starts: the reader unregisters on exit.
+    let open = shared.secret.is_none();
+    if open {
+        lock(&shared.conns).push(handle.clone());
+    }
+    let (sh, h) = (shared.clone(), handle.clone());
+    if spawn(Box::new(move || conn_loop(read_half, &h, &sh))).is_err() {
+        shared.stats.on_setup_failure();
+        handle.alive.store(false, Ordering::Release);
+        lock(&shared.conns).retain(|c| !Arc::ptr_eq(c, &handle));
+        let _ = lock(&handle.stream).shutdown(Shutdown::Both);
+        return;
+    }
+    if open {
+        shared.accepted.fetch_add(1, Ordering::AcqRel);
     }
 }
 
@@ -797,6 +855,39 @@ impl Drop for TcpServer {
 mod tests {
     use super::*;
     use crate::queue::Backpressure;
+    use std::io::Read;
+
+    #[test]
+    fn fd_or_thread_exhaustion_drops_the_connection_instead_of_panicking() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shared = Arc::new(ServerShared::new(None));
+        let mut peers = Vec::new();
+        // No thread for the reader, then no descriptor for its half.
+        let no_thread = |_| Err(io::Error::other("no threads"));
+        let no_fd = |_: &TcpStream| Err(io::Error::other("no descriptors"));
+        peers.push(TcpStream::connect(addr).unwrap());
+        admit(
+            &shared,
+            listener.accept().unwrap().0,
+            no_thread,
+            TcpStream::try_clone,
+        );
+        peers.push(TcpStream::connect(addr).unwrap());
+        admit(
+            &shared,
+            listener.accept().unwrap().0,
+            |_| unreachable!(),
+            no_fd,
+        );
+        assert_eq!(shared.stats.snapshot().setup_failures, 2);
+        assert!(lock(&shared.conns).is_empty(), "nothing registered");
+        assert_eq!(shared.accepted.load(Ordering::Acquire), 0);
+        for mut p in peers {
+            p.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            assert_eq!(p.read(&mut [0u8; 1]).unwrap(), 0, "peer sees the close");
+        }
+    }
 
     fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
         let deadline = Instant::now() + timeout;

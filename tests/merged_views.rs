@@ -125,6 +125,29 @@ impl Traffic {
         });
     }
 
+    /// Sends one fresh sequenced batch on `link` of `rows` (metric,
+    /// focus, wall), each with a drawn value.
+    fn batch(&mut self, d: &FakeDaemon, link: usize, rows: &[(&str, &str, u64)]) {
+        let mut samples = Vec::new();
+        for &(m, f, w) in rows {
+            let v = self.next(1000) as f64 * 0.25;
+            self.landed(link, m, f, w, v);
+            samples.push(pdmap_transport::BatchSample {
+                metric: m.into(),
+                focus: f.into(),
+                wall: w,
+                value: v,
+            });
+        }
+        let batch = pdmap_transport::SampleBatch {
+            samples,
+            seq: self.next_seq[link],
+            ..Default::default()
+        };
+        self.next_seq[link] += 1;
+        send_wire(&*d.tx, &batch).unwrap();
+    }
+
     /// Sends one frame on `link` with samples drawn from `names` and
     /// walls from `wall(rng)`.
     fn frame(
@@ -183,6 +206,61 @@ impl Traffic {
     }
 }
 
+/// The reference merge: every landed sample aligned with its link's
+/// final offset, sorted by (aligned, shard, arrival).
+fn reference<'a>(sent: &'a [Sent], offsets: &[i64]) -> Vec<(u64, &'a Sent)> {
+    let mut want: Vec<(u64, &Sent)> = sent
+        .iter()
+        .map(|s| ((s.wall as i64 - offsets[s.link]).max(0) as u64, s))
+        .collect();
+    want.sort_by_key(|&(t, s)| (t, s.link, s.order));
+    want
+}
+
+/// The reference streams: `want` grouped by (metric, focus) in
+/// first-seen order.
+fn reference_streams(want: &[(u64, &Sent)]) -> Vec<Stream> {
+    let mut streams: Vec<Stream> = Vec::new();
+    for &(t, w) in want {
+        let at = streams
+            .iter()
+            .position(|st| st.metric == w.metric && st.focus == w.focus);
+        let at = at.unwrap_or_else(|| {
+            streams.push(Stream {
+                metric: w.metric.clone(),
+                focus: w.focus.clone(),
+                units: String::new(),
+                samples: Vec::new(),
+            });
+            streams.len() - 1
+        });
+        streams[at].samples.push((t, w.value));
+    }
+    streams
+}
+
+/// `merged_samples` and `merged_streams` against the reference merge.
+fn assert_merged_views(set: &DaemonSet, want: &[(u64, &Sent)]) {
+    let got = set.merged_samples();
+    assert_eq!(got.len(), want.len());
+    for (g, &(t, w)) in got.iter().zip(want) {
+        let expect = (w.link, &*w.metric, &*w.focus, w.wall, t, w.value);
+        let actual = (
+            g.daemon,
+            g.metric.as_str(),
+            g.focus.as_str(),
+            g.wall,
+            g.aligned_ns,
+            g.value,
+        );
+        assert_eq!(actual, expect);
+    }
+    assert_eq!(
+        format!("{:?}", *set.merged_streams()),
+        format!("{:?}", reference_streams(want))
+    );
+}
+
 #[test]
 fn merged_views_match_a_naive_reference_over_a_seeded_mix() {
     // Three skewed links, one shard each. Phase 1 lands a seeded mix
@@ -238,51 +316,14 @@ fn merged_views_match_a_naive_reference_over_a_seeded_mix() {
     let total = t.sent.len();
     assert_eq!(set.pump_until_samples(total, Duration::from_secs(5)), total);
 
-    // The reference: every landed sample aligned with its link's final
-    // offset, sorted by (aligned, shard, arrival).
-    let align = |s: &Sent| (s.wall as i64 - offsets[s.link]).max(0) as u64;
-    let mut want: Vec<&Sent> = t.sent.iter().collect();
-    want.sort_by_key(|s| (align(s), s.link, s.order));
-    let got = set.merged_samples();
-    assert_eq!(got.len(), want.len());
-    for (g, w) in got.iter().zip(&want) {
-        let expect = (w.link, &*w.metric, &*w.focus, w.wall, align(w), w.value);
-        let actual = (
-            g.daemon,
-            g.metric.as_str(),
-            g.focus.as_str(),
-            g.wall,
-            g.aligned_ns,
-            g.value,
-        );
-        assert_eq!(actual, expect);
-    }
+    let want = reference(&t.sent, &offsets);
+    assert_merged_views(&set, &want);
     assert!(
         want.windows(2)
-            .any(|p| align(p[0]) == align(p[1]) && p[0].link != p[1].link),
+            .any(|p| p[0].0 == p[1].0 && p[0].1.link != p[1].1.link),
         "the mix must contain cross-link ties"
     );
-
-    let mut streams: Vec<Stream> = Vec::new();
-    for w in &want {
-        let at = streams
-            .iter()
-            .position(|st| st.metric == w.metric && st.focus == w.focus);
-        let at = at.unwrap_or_else(|| {
-            streams.push(Stream {
-                metric: w.metric.clone(),
-                focus: w.focus.clone(),
-                units: String::new(),
-                samples: Vec::new(),
-            });
-            streams.len() - 1
-        });
-        streams[at].samples.push((align(w), w.value));
-    }
-    assert_eq!(
-        format!("{:?}", *set.merged_streams()),
-        format!("{streams:?}")
-    );
+    let align = |s: &Sent| (s.wall as i64 - offsets[s.link]).max(0) as u64;
 
     for link in 0..skews.len() {
         let on_link: Vec<&Sent> = t.sent.iter().filter(|s| s.link == link).collect();
@@ -313,4 +354,94 @@ fn merged_views_match_a_naive_reference_over_a_seeded_mix() {
     }
     assert_eq!(set.fleet_health().len(), skews.len());
     assert!(t.replays.iter().sum::<u64>() > 0, "the mix must replay");
+}
+
+#[test]
+fn merged_views_match_the_reference_at_radix_scale() {
+    // Streams far above the radix-sort cutoff, each landing out of time
+    // order, with aligned ranges that need one ("narrow", one link), two
+    // ("medium", one link) and three ("wide", every link) 11-bit digit
+    // passes, plus a stream on one tool-clock instant across every link
+    // ("instant") and one with few instants, tied within and across
+    // links ("ties"). A clock sync runs between the two phases.
+    const BASE: u64 = 10_000_000_000;
+    let skews = [3_000_000i64, -2_000_000, 0];
+    let (mut set, daemons) = set_with_skews(&skews);
+    let mut t = Traffic::new(0x0BAD_5EED, skews.len());
+    let phase = |t: &mut Traffic, offsets: Option<&[i64]>| {
+        for _ in 0..30 {
+            for (link, d) in daemons.iter().enumerate() {
+                // Phase 1 stamps with the link's true skew; phase 2 with
+                // its estimated offset, so tool-clock instants line up.
+                let off = offsets.map_or(skews[link], |o| o[link]);
+                let on_tool = |at: u64| (at as i64 + off) as u64;
+                let kinds = if offsets.is_some() { 4 } else { 2 };
+                let rows: Vec<(&str, &str, u64)> = (0..48)
+                    .map(|_| match (t.next(kinds), link) {
+                        (0, 0) => ("narrow", "/", BASE + t.next(2_000)),
+                        (0, 1) => ("medium", "/", BASE + t.next(1 << 20)),
+                        (0, _) | (1, _) => ("wide", "/", on_tool(BASE + t.next(1 << 30))),
+                        (2, _) => ("instant", "/", on_tool(2 * BASE)),
+                        _ => ("ties", "/", on_tool(2 * BASE + t.next(8) * 1_000)),
+                    })
+                    .collect();
+                t.batch(d, link, &rows);
+            }
+        }
+    };
+    phase(&mut t, None);
+    let phase1 = t.sent.len();
+    assert_eq!(
+        set.pump_until_samples(phase1, Duration::from_secs(5)),
+        phase1
+    );
+    sync(&mut set, &daemons);
+    let offsets: Vec<i64> = (0..skews.len())
+        .map(|i| set.conn(i).clock().offset_ns)
+        .collect();
+    phase(&mut t, Some(&offsets));
+    let total = t.sent.len();
+    assert_eq!(set.pump_until_samples(total, Duration::from_secs(5)), total);
+
+    let want = reference(&t.sent, &offsets);
+    assert_merged_views(&set, &want);
+
+    // The mix covers what the radix sort must get right.
+    let streams = reference_streams(&want);
+    let passes = |st: &Stream| {
+        let (lo, hi) = st
+            .samples
+            .iter()
+            .fold((u64::MAX, 0), |(lo, hi), &(t, _)| (lo.min(t), hi.max(t)));
+        (u64::BITS - (hi - lo).leading_zeros()).div_ceil(11)
+    };
+    let mut need: Vec<(&str, u32)> = streams.iter().map(|st| (&*st.metric, passes(st))).collect();
+    need.sort();
+    assert_eq!(
+        need,
+        [
+            ("instant", 0),
+            ("medium", 2),
+            ("narrow", 1),
+            ("ties", 2),
+            ("wide", 3)
+        ]
+    );
+    for st in &streams {
+        assert!(st.samples.len() >= 1_000, "{} is short", st.metric);
+        let mut arrival: Vec<&Sent> = t.sent.iter().filter(|s| s.metric == st.metric).collect();
+        arrival.sort_by_key(|s| (s.link, s.order));
+        let aligned = |s: &&Sent| (s.wall as i64 - offsets[s.link]).max(0) as u64;
+        assert!(
+            st.metric == "instant" || !arrival.is_sorted_by_key(aligned),
+            "{} lands already in time order",
+            st.metric
+        );
+    }
+    let ties: Vec<&(u64, &Sent)> = want.iter().filter(|w| w.1.metric == "ties").collect();
+    let tied = |same_link: bool| {
+        ties.windows(2)
+            .any(|p| p[0].0 == p[1].0 && (p[0].1.link == p[1].1.link) == same_link)
+    };
+    assert!(tied(true) && tied(false), "ties within and across links");
 }
